@@ -29,8 +29,8 @@ from .model import (
     encode,
     init_params,
 )
-from .numerics import Tape, Tensor, backward
-from .positional import ProgressSchedule, RopeParams, apply_rope, cross_attention_scores, progress_id
+from .numerics import Tape, Tensor
+from .positional import ProgressSchedule, RopeParams, apply_rope, cross_attention_scores
 from .synthcorpus import (
     Corpus,
     CorpusConfig,

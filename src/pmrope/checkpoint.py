@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, config_from_record
 from .numerics import Tensor
 
 MAGIC = b"PMRT"
@@ -72,7 +72,11 @@ def params_from_bytes(blob: bytes) -> ModelParams:
     version = read_u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    config = ModelConfig(**json.loads(bytes(take(read_u32())).decode("utf-8")))
+    config_blob = bytes(take(read_u32()))
+    try:
+        config = config_from_record(ModelConfig, json.loads(config_blob.decode("utf-8")))
+    except ValueError as err:  # also bad UTF-8 and bad JSON
+        raise CheckpointError(f"bad config record: {err}") from None
     n_tensors = read_u32()
     directory = []
     for _ in range(n_tensors):

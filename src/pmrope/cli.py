@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint
@@ -22,13 +22,14 @@ from .duration import (
     target_token_count,
 )
 from .metrics import (
+    DEFAULT_DA_MARGIN,
     bootstrap_ci,
     duration_accuracy,
     error_rate,
     style_similarity,
     wilson_interval,
 )
-from .model import ModelConfig
+from .model import ModelConfig, config_from_record
 from .synthcorpus import (
     CorpusConfig,
     SymbolSpec,
@@ -68,7 +69,7 @@ _SECTIONS = {
 
 
 def load_run_config(path=None) -> RunConfig:
-    """Parse a JSON run configuration; unknown keys are rejected outright."""
+    """Parse a JSON run configuration; unknown keys and mistyped values are rejected."""
     if path is None:
         raw = {}
     else:
@@ -84,17 +85,8 @@ def load_run_config(path=None) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
     built = {}
     for section, cls in _SECTIONS.items():
-        body = raw.get(section, {})
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key in body:
-            if key not in known:
-                raise ConfigError(f"unknown config key {section}.{key!r}")
-        if "stretch_factors" in body:
-            body = dict(body, stretch_factors=tuple(body["stretch_factors"]))
         try:
-            built[section] = cls(**body)
+            built[section] = config_from_record(cls, raw.get(section, {}))
         except ValueError as err:
             raise ConfigError(f"config section {section!r}: {err}") from None
     return RunConfig(**built)
@@ -112,8 +104,7 @@ def _parse_tokens(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: SamplerConfig,
-                   frame_rate: int = DEFAULT_FRAME_RATE, da_margin: float = 0.10):
+def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: SamplerConfig):
     """Generate at oracle target lengths and score the result set.
 
     Per-utterance sampler seeds derive as base seed + index, so two
@@ -135,10 +126,10 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
             similarities.append(style_similarity(prompt, result.tokens, alphabets))
         else:
             similarities.append(0.0)
-        target_seconds.append(utt.duration_tokens / frame_rate)
-        generated_seconds.append(result.generated_len / frame_rate)
-        rows.append((i, utt.duration_tokens / frame_rate, result.generated_len / frame_rate))
-    da = duration_accuracy(generated_seconds, target_seconds, da_margin)
+        target_seconds.append(utt.duration_tokens / DEFAULT_FRAME_RATE)
+        generated_seconds.append(result.generated_len / DEFAULT_FRAME_RATE)
+        rows.append((i, target_seconds[-1], generated_seconds[-1]))
+    da = duration_accuracy(generated_seconds, target_seconds, DEFAULT_DA_MARGIN)
     successes = round(da * len(utterances))
     reports = [
         bootstrap_ci(error_rates, metric="error_rate"),

@@ -83,8 +83,7 @@ def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelPar
 
     generated: list = []
     while True:
-        logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc,
-                                 params, config, teacher_forcing=False)
+        logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc, params, config)
         row = logits.data[-1].astype(np.float64).copy()
         row[blocked] = -np.inf
         token = filter_and_sample(row, sampler, rng)

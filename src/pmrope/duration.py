@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 #: seconds per text unit when no reference is available
 DEFAULT_RATES = {"EN": 0.085, "JA": 0.10, "ZH": 0.27}
 
 DEFAULT_FRAME_RATE = 50
 
-#: pluggable counting contract: text -> positive unit count
-UnitCounter = Callable[[object], int]
-
-
-def count_units(text) -> int:
-    """Default unit counter: one unit per symbol."""
-    n = len(text)
-    if n < 1:
-        raise ValueError("cannot count units of empty text")
-    return n
+#: relative slack on seconds * frame_rate before flooring, so that n / rate
+#: seconds give back n tokens although n / rate * rate may round below n
+_ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ def estimate_from_rate(n_tgt: int, language: str, rates=None) -> DurationEstimat
 
 
 def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
-    """floor(seconds * frame_rate), clamped to at least one token.
+    """floor(seconds * frame_rate) up to float rounding, clamped to at least one token.
 
     Accepts a DurationEstimate or plain seconds.
     """
@@ -72,4 +64,4 @@ def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
         raise ValueError(f"duration must be positive, got {seconds}")
     if frame_rate < 1:
         raise ValueError(f"frame rate must be >= 1, got {frame_rate}")
-    return max(1, math.floor(seconds * frame_rate))
+    return max(1, math.floor(seconds * frame_rate * (1.0 + _ROUNDING_SLACK)))

@@ -10,7 +10,7 @@ five extra control tokens and the output head is linear -> GELU -> linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,39 @@ class ModelConfig:
         return self.audio_vocab + N_SPECIAL_TOKENS
 
 
+#: JSON values each config field annotation accepts; bool is an int subclass,
+#: so it is excluded by hand. A tuple field arrives as a JSON list of ints.
+_FIELD_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "tuple": lambda v: isinstance(v, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in v),
+}
+
+
+def config_from_record(cls, record):
+    """Build the config dataclass cls from a decoded JSON object.
+
+    Every key must name a field of cls and every value must match that
+    field's annotation; the first offender raises ValueError, as does the
+    dataclass's own validation.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"config record must be a JSON object, got {type(record).__name__}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in record.items():
+        if key not in kinds:
+            raise ValueError(f"unknown config key {key!r}")
+        kind = kinds[key]
+        if not _FIELD_CHECKS[kind](value):
+            wanted = "a list of ints" if kind == "tuple" else kind
+            raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
+        values[key] = tuple(value) if kind == "tuple" else value
+    return cls(**values)
+
+
 @dataclass(frozen=True)
 class SpecialTokens:
     """The five control token ids appended after the audio codebook."""
@@ -79,9 +112,6 @@ class SpecialTokens:
             separator=audio_vocab + 4,
         )
 
-    def all_ids(self) -> tuple:
-        return (self.bos, self.eos, self.pad, self.silence, self.separator)
-
 
 @dataclass
 class EncoderOutput:
@@ -99,9 +129,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def names(self):
-        return list(self.tensors)
-
     def items(self):
         return self.tensors.items()
 
@@ -109,18 +136,9 @@ class ModelParams:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self.tensors.items()},
-            self.config,
-        )
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            {n: Tensor(t.data.astype(dtype), requires_grad=True) for n, t in self.tensors.items()},
             self.config,
         )
 
@@ -236,14 +254,14 @@ def _self_attention_block(x, prefix, positions, mask, params, config, rope):
 
 
 def _cross_attention_block(x, enc_states, prefix, dec_progress, enc_progress, mask,
-                           params, config, rope_dec, rope_enc):
+                           params, config, rope):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
     q = nm.matmul(h, params[f"{prefix}.wq"])
     k = nm.matmul(enc_states, params[f"{prefix}.wk"])
     v = nm.matmul(enc_states, params[f"{prefix}.wv"])
     if config.pm_rope_enabled:
-        q = rotate_heads(q, dec_progress, rope_dec, config.n_heads)
-        k = rotate_heads(k, enc_progress, rope_enc, config.n_heads)
+        q = rotate_heads(q, dec_progress, rope, config.n_heads)
+        k = rotate_heads(k, enc_progress, rope, config.n_heads)
     a = attention(q, k, v, config.n_heads, mask)
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
@@ -282,11 +300,7 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     bool or None). Progress ID arrays are per-row ([n, S] and [n, T]).
     """
     n, S = streams.shape
-    rope_self = RopeParams(config.head_dim, config.rope_base)
-    # Independent rotation modules for the two cross-attention sides; they
-    # share the default base but are distinct objects so they could diverge.
-    rope_cross_dec = RopeParams(config.head_dim, config.rope_base)
-    rope_cross_enc = RopeParams(config.head_dim, config.rope_base)
+    rope = RopeParams(config.head_dim, config.rope_base)
 
     self_positions = np.broadcast_to(np.arange(S, dtype=np.float64), (n, S))
     x = nm.embed(params["audio_emb"], streams)
@@ -294,10 +308,9 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     cross_mask = None if enc_real is None else key_padding_mask(enc_real, x.data.dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_positions, self_mask,
-                                  params, config, rope_self)
+                                  params, config, rope)
         x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_progress,
-                                   enc_progress, cross_mask, params, config,
-                                   rope_cross_dec, rope_cross_enc)
+                                   enc_progress, cross_mask, params, config, rope)
         x = _ffn_block(x, f"dec.{i}.ffn", params)
     h = nm.rms_norm(x, params["dec.norm"])
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])
@@ -316,12 +329,11 @@ def encode(text_tokens, params: ModelParams, config: ModelConfig) -> EncoderOutp
 
 
 def decoder_forward(audio_tokens, enc_out: EncoderOutput, schedule_dec: ProgressSchedule,
-                    schedule_enc: ProgressSchedule, params: ModelParams, config: ModelConfig,
-                    teacher_forcing: bool = True) -> Tensor:
+                    schedule_enc: ProgressSchedule, params: ModelParams,
+                    config: ModelConfig) -> Tensor:
     """Causal decoding pass over an audio token stream; returns [S, V+5] logits.
 
-    Under teacher forcing the decoder schedule must cover the stream exactly.
-    At inference the stream may outgrow the schedule (over-generation up to the
+    The stream may outgrow the decoder schedule (over-generation up to the
     length cap), in which case progress IDs extrapolate past the scale.
     """
     tokens = np.asarray(audio_tokens, dtype=np.int64)
@@ -330,15 +342,11 @@ def decoder_forward(audio_tokens, enc_out: EncoderOutput, schedule_dec: Progress
     if tokens.min() < 0 or tokens.max() >= config.audio_vocab_ext:
         raise ValueError(f"audio token outside [0, {config.audio_vocab_ext})")
     S = tokens.size
-    if teacher_forcing and schedule_dec.total_len != S:
-        raise ValueError(
-            f"decoder schedule length {schedule_dec.total_len} != stream length {S} under teacher forcing"
-        )
     if schedule_enc.total_len != enc_out.length:
         raise ValueError(
             f"encoder schedule length {schedule_enc.total_len} != encoder length {enc_out.length}"
         )
-    dec_progress = schedule_dec.position_ids(S, allow_overflow=not teacher_forcing)
+    dec_progress = schedule_dec.position_ids(S)
     enc_progress = schedule_enc.position_ids()
     states = nm.reshape(enc_out.states, (1, enc_out.length, config.d_model))
     logits = decoder_batch(tokens[None, :], states, None, dec_progress[None, :],

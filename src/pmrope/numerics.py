@@ -120,15 +120,6 @@ def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``."""
-    if loss.data.size != 1:
-        raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._tape is None:
-        raise ValueError("loss was not produced through recorded operations")
-    loss._tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

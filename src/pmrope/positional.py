@@ -57,54 +57,30 @@ class ProgressSchedule:
         if self.scale < 0:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
-    def position_id(self, index: int) -> float:
-        if not 0 <= index < self.total_len:
-            raise IndexError(f"index {index} outside [0, {self.total_len})")
-        return self._affine(index)
-
-    def _affine(self, index) -> float:
-        if self.total_len == 1:
-            return 0.0  # a single token counts as "start"
-        return index / (self.total_len - 1) * self.scale
-
-    def position_ids(self, n: int | None = None, allow_overflow: bool = False) -> np.ndarray:
+    def position_ids(self, n: int | None = None) -> np.ndarray:
         """Progress IDs for indices 0..n-1 (default n = total_len).
 
-        With allow_overflow the affine map extrapolates past total_len; the
+        Past total_len the affine map extrapolates beyond the scale; the
         decoder needs this when generation overshoots the target length.
         """
         if n is None:
             n = self.total_len
-        if n > self.total_len and not allow_overflow:
-            raise IndexError(f"{n} positions requested from a schedule of length {self.total_len}")
         if self.total_len == 1:
-            return np.zeros(n, dtype=np.float64)
+            return np.zeros(n, dtype=np.float64)  # a single token counts as "start"
         return np.arange(n, dtype=np.float64) / (self.total_len - 1) * self.scale
-
-
-def progress_id(index: int, schedule: ProgressSchedule) -> float:
-    """Progress position ID of one index under a schedule."""
-    return schedule.position_id(index)
 
 
 def apply_rope(v, position: float, params: RopeParams):
     """Rotate consecutive pairs of a head_dim vector by position * frequency.
 
-    Norm-preserving; position may be fractional. Trig runs in float64 and the
-    result is returned in the input dtype.
+    Norm-preserving; position may be fractional. One row of one head through
+    rotate_heads; the result keeps a floating input's dtype.
     """
     arr = np.asarray(v)
     if arr.shape != (params.head_dim,):
         raise ShapeError(f"vector shape {arr.shape} does not match head_dim {params.head_dim}")
-    x = arr.astype(np.float64)
-    ang = float(position) * params.frequencies
-    c, s = np.cos(ang), np.sin(ang)
-    out = np.empty_like(x)
-    out[0::2] = x[0::2] * c - x[1::2] * s
-    out[1::2] = x[0::2] * s + x[1::2] * c
-    if np.issubdtype(arr.dtype, np.floating):
-        return out.astype(arr.dtype)
-    return out
+    return rotate_heads(Tensor(arr[None, :]), np.array([position], dtype=np.float64),
+                        params, n_heads=1).data[0]
 
 
 def cross_attention_scores(q_rotated, k_rotated):

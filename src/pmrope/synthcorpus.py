@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SpecialTokens
+from .model import SpecialTokens, config_from_record
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,7 @@ def load_manifest(corpus_dir):
     """(CorpusConfig, audio_vocab) recorded alongside a saved corpus."""
     with open(Path(corpus_dir) / MANIFEST_FILE, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    raw = dict(manifest["config"])
-    raw["stretch_factors"] = tuple(raw["stretch_factors"])
-    return CorpusConfig(**raw), int(manifest["audio_vocab"])
+    return config_from_record(CorpusConfig, manifest["config"]), int(manifest["audio_vocab"])
 
 
 def load_corpus(corpus_dir) -> Corpus:

@@ -21,8 +21,6 @@ from .model import (
     ModelParams,
     SpecialTokens,
     decoder_batch,
-    decoder_forward,
-    encode,
     encode_batch,
     init_params,
 )
@@ -33,6 +31,9 @@ from .synthcorpus import Corpus, prompt_for
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: decoder tokens per forward-only batch in evaluate_loss
+EVAL_TOKEN_BUDGET = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -196,21 +197,6 @@ def _finish_batch(examples: list, pad_id: int) -> Batch:
     return Batch(examples=examples, tokens=tokens, lengths=lengths)
 
 
-def _example_loss(ex: DecoderExample, params: ModelParams, config: ModelConfig,
-                  mask_prompt: bool):
-    """Teacher-forced mean NLL for one example plus its masked-position count."""
-    inputs = ex.stream[:-1]
-    targets = ex.stream[1:]
-    enc_out = encode(ex.text, params, config)
-    sched_dec = ProgressSchedule(len(inputs), config.progress_scale)
-    sched_enc = ProgressSchedule(enc_out.length, config.progress_scale)
-    logits = decoder_forward(inputs, enc_out, sched_dec, sched_enc, params, config)
-    mask = np.ones(len(targets), dtype=bool)
-    if mask_prompt:
-        mask[: ex.prompt_len + 1] = False  # predictions of prompt tokens and separator
-    return nm.cross_entropy(logits, targets, mask), int(mask.sum())
-
-
 def _batch_arrays(examples, config: ModelConfig, pad_id: int, mask_prompt: bool):
     """Padded input/target/mask/progress arrays for one fused forward pass."""
     n = len(examples)
@@ -233,10 +219,8 @@ def _batch_arrays(examples, config: ModelConfig, pad_id: int, mask_prompt: bool)
         loss_mask[i, :length] = True
         if mask_prompt:
             loss_mask[i, : ex.prompt_len + 1] = False
-        dec_progress[i] = ProgressSchedule(length, config.progress_scale).position_ids(
-            S, allow_overflow=True)
-        enc_progress[i] = ProgressSchedule(t, config.progress_scale).position_ids(
-            T, allow_overflow=True)
+        dec_progress[i] = ProgressSchedule(length, config.progress_scale).position_ids(S)
+        enc_progress[i] = ProgressSchedule(t, config.progress_scale).position_ids(T)
     if not text_real.all():
         return inputs, targets, texts, text_real, loss_mask, dec_progress, enc_progress
     return inputs, targets, texts, None, loss_mask, dec_progress, enc_progress
@@ -297,14 +281,14 @@ def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
 
 
 def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
-                  mask_prompt: bool = False, token_budget: int = 8192) -> float:
+                  mask_prompt: bool = False) -> float:
     """Mean NLL over a list of examples, forward-only."""
     if not examples:
         raise ValueError("evaluate_loss needs at least one example")
     pad = SpecialTokens.for_vocab(config.audio_vocab).pad
     total_nll = 0.0
     total_count = 0
-    for batch in make_batches(examples, token_budget, seed=0, pad_id=pad):
+    for batch in make_batches(examples, EVAL_TOKEN_BUDGET, seed=0, pad_id=pad):
         loss, count = batch_loss(batch, params, config, mask_prompt)
         total_nll += loss.item() * count
         total_count += count

@@ -11,6 +11,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from pmrope import numerics as nm
+from pmrope.model import decoder_forward, encode
+from pmrope.positional import ProgressSchedule
+
 
 def finite_diff_grad(loss_fn, tensor, eps=1e-5):
     """Central-difference gradient of a scalar loss w.r.t. one tensor's data.
@@ -87,3 +91,18 @@ def pearson_direct(x, y):
     sx = math.sqrt(sum((xi - mx) ** 2 for xi in x) / n)
     sy = math.sqrt(sum((yi - my) ** 2 for yi in y) / n)
     return cov / (sx * sy)
+
+
+def _example_loss(ex, params, config, mask_prompt):
+    """Teacher-forced mean NLL of one training example, unbatched and unpadded,
+    plus the number of positions in the mean."""
+    inputs = ex.stream[:-1]
+    targets = ex.stream[1:]
+    enc_out = encode(ex.text, params, config)
+    sched_dec = ProgressSchedule(len(inputs), config.progress_scale)
+    sched_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+    logits = decoder_forward(inputs, enc_out, sched_dec, sched_enc, params, config)
+    mask = np.ones(len(targets), dtype=bool)
+    if mask_prompt:
+        mask[: ex.prompt_len + 1] = False  # predictions of prompt tokens and separator
+    return nm.cross_entropy(logits, targets, mask), int(mask.sum())

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from pmrope.checkpoint import (
     params_from_bytes,
     save_checkpoint,
 )
+from pmrope.cli import main
 from pmrope.model import decoder_forward, encode
 from pmrope.positional import ProgressSchedule
 
@@ -27,9 +31,9 @@ def test_loaded_tensors_match_exactly(tiny_model, tmp_path):
     path = tmp_path / "model.pmrt"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
-    assert loaded.names() == params.names()
+    assert list(loaded.tensors) == list(params.tensors)
     assert loaded.config == config
-    for name in params.names():
+    for name in params.tensors:
         assert np.array_equal(loaded[name].data, params[name].data)
 
 
@@ -64,3 +68,31 @@ def test_trailing_bytes_rejected(tiny_model):
     params, _ = tiny_model
     with pytest.raises(CheckpointError, match="trailing"):
         params_from_bytes(checkpoint_bytes(params) + b"\x00")
+
+
+def _with_config_blob(params, edit) -> bytes:
+    """Checkpoint bytes whose config record is replaced by edit(original record)."""
+    blob = checkpoint_bytes(params)
+    n = struct.unpack("<I", blob[8:12])[0]
+    config = edit(json.loads(blob[12:12 + n]))
+    new = config if isinstance(config, bytes) else json.dumps(config).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: dict(c, head_dimm=4), "head_dimm"),
+    (lambda c: dict(c, d_model=str(c["d_model"])), "d_model"),
+    (lambda c: dict(c, pm_rope_enabled="yes"), "pm_rope_enabled"),
+    (lambda c: [c], "JSON object"),
+    (lambda c: b"{not json", "bad config record"),
+    (lambda c: b"\xff\xfe", "bad config record"),
+], ids=["unknown_key", "string_int", "string_bool", "not_an_object", "not_json", "not_utf8"])
+def test_bad_config_record_rejected(tiny_model, tmp_path, capsys, edit, message):
+    params, _ = tiny_model
+    path = tmp_path / "model.pmrt"
+    path.write_bytes(_with_config_blob(params, edit))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    code = main(["generate", "--checkpoint", str(path), "--text", "1,2", "--oracle-length", "3"])
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -64,6 +64,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="peek_lr"):
             load_run_config(str(path))
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"model": {"d_model": "64"}}, "d_model"),
+        ({"model": {"pm_rope_enabled": 1}}, "pm_rope_enabled"),
+        ({"train": {"total_steps": True}}, "total_steps"),
+        ({"corpus": {"stretch_factors": 3}}, "stretch_factors"),
+        ({"corpus": {"stretch_factors": [1, 2.5]}}, "stretch_factors"),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(str(path))
+        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {"peak_lr": 1}, "corpus": {"stretch_factors": [2]}}))
+        cfg = load_run_config(str(path))
+        assert cfg.train.peak_lr == 1 and cfg.corpus.stretch_factors == (2,)
+
 
 class TestCorpusCommand:
     def test_line_counts_match_config(self, corpus_dir):

@@ -3,7 +3,6 @@ import pytest
 from pmrope.duration import (
     DEFAULT_RATES,
     DurationEstimate,
-    count_units,
     estimate_from_rate,
     estimate_from_reference,
     target_token_count,
@@ -76,15 +75,8 @@ class TestTokenCount:
     def test_alternate_frame_rate(self):
         assert target_token_count(2.0, frame_rate=25) == 50
 
-
-class TestUnitCounter:
-    def test_counts_symbols(self):
-        assert count_units([4, 1, 2]) == 3
-        assert count_units("abcd") == 4
-
-    def test_deterministic(self):
-        assert count_units([1, 2, 3]) == count_units([1, 2, 3])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            count_units([])
+    @pytest.mark.parametrize("frame_rate", [50, 25])
+    def test_whole_token_durations_round_trip(self, frame_rate):
+        # n / rate * rate rounds below n for some n (0.58 * 50 == 28.999...)
+        for n in range(1, 1001):
+            assert target_token_count(n / frame_rate, frame_rate) == n

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import finite_diff_grad, max_rel_err
 from pmrope import numerics as nm
-from pmrope.numerics import ShapeError, Tape, Tensor, backward
+from pmrope.numerics import ShapeError, Tape, Tensor
 
 
 def rand(shape, seed, scale=1.0):
@@ -246,7 +246,7 @@ class TestBackward:
 
     def test_unrecorded_loss_rejected(self):
         with pytest.raises(ValueError, match="recorded"):
-            backward(Tensor(np.asarray(1.0)))
+            Tape().backward(Tensor(np.asarray(1.0)))
 
     def test_unused_parameter_keeps_zero_grad(self):
         used = rand((2, 2), seed=16)

@@ -9,7 +9,6 @@ from pmrope.positional import (
     RopeParams,
     apply_rope,
     cross_attention_scores,
-    progress_id,
     rotate_heads,
 )
 
@@ -33,37 +32,30 @@ class TestRopeParams:
 
 class TestProgressSchedule:
     def test_left_endpoint(self):
-        assert progress_id(0, ProgressSchedule(100, 2000.0)) == 0.0
+        assert ProgressSchedule(100, 2000.0).position_ids()[0] == 0.0
 
     def test_right_endpoint_hits_scale(self):
-        assert progress_id(99, ProgressSchedule(100, 2000.0)) == 2000.0
+        assert ProgressSchedule(100, 2000.0).position_ids()[99] == 2000.0
 
     def test_midpoint(self):
-        assert progress_id(50, ProgressSchedule(101, 2000.0)) == 1000.0
-
-    def test_out_of_range_index(self):
-        with pytest.raises(IndexError):
-            progress_id(100, ProgressSchedule(100, 2000.0))
+        assert ProgressSchedule(101, 2000.0).position_ids()[50] == 1000.0
 
     def test_single_token_maps_to_zero(self):
-        assert progress_id(0, ProgressSchedule(1, 2000.0)) == 0.0
+        assert np.array_equal(ProgressSchedule(1, 2000.0).position_ids(), [0.0])
 
     @pytest.mark.parametrize("total_len", [2, 3, 17, 400])
     def test_endpoint_pinning_for_any_length(self, total_len):
-        sched = ProgressSchedule(total_len, 2000.0)
-        assert sched.position_id(total_len - 1) == 2000.0
-        ids = sched.position_ids()
+        ids = ProgressSchedule(total_len, 2000.0).position_ids()
+        assert ids.shape == (total_len,) and ids[-1] == 2000.0
         assert np.all(np.diff(ids) > 0)
         # affine: constant second difference
         if total_len >= 3:
             assert np.allclose(np.diff(ids, n=2), 0.0, atol=1e-9)
 
-    def test_overflow_needs_flag(self):
-        sched = ProgressSchedule(5, 2000.0)
-        with pytest.raises(IndexError):
-            sched.position_ids(7)
-        ids = sched.position_ids(7, allow_overflow=True)
+    def test_overflow_extrapolates_past_scale(self):
+        ids = ProgressSchedule(5, 2000.0).position_ids(7)
         assert ids[-1] > 2000.0
+        assert np.allclose(np.diff(ids), 500.0)
 
     def test_zero_scale_pins_everything_at_zero(self):
         assert np.array_equal(ProgressSchedule(9, 0.0).position_ids(), np.zeros(9))
@@ -173,7 +165,8 @@ class TestRotateHeads:
         out = rotate_heads(Tensor(x), positions, params, n_heads=2).data
         for i in range(5):
             for h in range(2):
-                expected = apply_rope(x[i, 4 * h:4 * h + 4], positions[i], params)
+                expected = rope_complex_reference(x[i, 4 * h:4 * h + 4], positions[i],
+                                                  params.frequencies)
                 assert np.allclose(out[i, 4 * h:4 * h + 4], expected, atol=1e-12)
 
     def test_zero_positions_identity(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import _example_loss
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.numerics import Tensor
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
@@ -244,7 +245,6 @@ class TestBatchLoss:
         examples = corpus_examples(corpus, model_config)[:3]
         params = init_params(model_config, seed=0)
         batches = make_batches(examples, 4096, seed=0, pad_id=SpecialTokens.for_vocab(64).pad)
-        from pmrope.training import _example_loss
 
         batch = batches[0]
         loss, count = batch_loss(batch, params, model_config)
@@ -262,8 +262,10 @@ class TestBatchLoss:
         model_config = ModelConfig()
         examples = corpus_examples(corpus, model_config)[:1]
         params = init_params(model_config, seed=0)
-        from pmrope.training import _example_loss
-
-        _, n_all = _example_loss(examples[0], params, model_config, False)
-        _, n_masked = _example_loss(examples[0], params, model_config, True)
+        batch = make_batches(examples, 4096, seed=0, pad_id=SpecialTokens.for_vocab(64).pad)[0]
+        _, n_all = batch_loss(batch, params, model_config, mask_prompt=False)
+        masked, n_masked = batch_loss(batch, params, model_config, mask_prompt=True)
         assert n_all - n_masked == examples[0].prompt_len + 1
+        expected, n_oracle = _example_loss(examples[0], params, model_config, True)
+        assert n_oracle == n_masked
+        assert masked.item() == pytest.approx(expected.item(), rel=1e-5)
