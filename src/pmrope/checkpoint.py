@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, config_from_record
+from .model import ModelConfig, ModelParams, config_from_record, param_shapes
 from .numerics import Tensor
 
 MAGIC = b"PMRT"
@@ -52,6 +52,23 @@ def save_checkpoint(path, params: ModelParams) -> None:
         fh.write(checkpoint_bytes(params))
 
 
+def _check_directory(directory: list, expected: dict) -> None:
+    """The tensor directory must name each tensor the config needs once, at its shape."""
+    names = [name for name, _ in directory]
+    if len(set(names)) != len(names):
+        raise CheckpointError("duplicate tensor names in checkpoint directory")
+    missing = [name for name in expected if name not in names]
+    if missing:
+        raise CheckpointError(f"checkpoint lacks tensors the config needs: {', '.join(missing)}")
+    extra = [name for name in names if name not in expected]
+    if extra:
+        raise CheckpointError(f"checkpoint has tensors the config does not use: {', '.join(extra)}")
+    for name, shape in directory:
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {shape}, the config needs {expected[name]}")
+
+
 def params_from_bytes(blob: bytes) -> ModelParams:
     view = memoryview(blob)
     offset = 0
@@ -87,6 +104,7 @@ def params_from_bytes(blob: bytes) -> ModelParams:
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))
         directory.append((name, shape))
+    _check_directory(directory, param_shapes(config))
     tensors = {}
     for name, shape in directory:
         count = int(np.prod(shape)) if shape else 1

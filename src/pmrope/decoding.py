@@ -1,10 +1,15 @@
 """Autoregressive generation under an inference-time progress schedule.
 
 The decoder stream opens with bos + prompt + separator; the progress schedule
-spans that prefix plus the requested target length, mirroring training. At
-each step the logits pass through temperature scaling, top-k, then nucleus
-filtering before sampling. Generation stops at eos or at a 1.2x length cap
-(slack enough for the +/-10% duration-accuracy window to register misses).
+spans that prefix plus the requested target length, mirroring training.
+Decoding is incremental: one prefill pass runs the prefix through the decoder
+and fills a DecoderCache, then each step runs only the newest token against
+it. The cross-attention progress of every position, including those past the
+target that over-generation reaches, follows from the step index and the
+target alone, so it is fixed before decoding starts. At each step the logits
+pass through temperature scaling, top-k, then nucleus filtering before
+sampling. Generation stops at eos or at a 1.2x length cap (slack enough for
+the +/-10% duration-accuracy window to register misses).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, SpecialTokens, decoder_forward, encode
+from . import numerics as nm
+from .model import DecoderCache, ModelConfig, ModelParams, SpecialTokens, decoder_batch, encode
 from .positional import ProgressSchedule
 
 LENGTH_CAP_FACTOR = 1.2
@@ -74,24 +80,31 @@ def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelPar
         raise ValueError(f"target_len must be >= 1, got {target_len}")
     specials = SpecialTokens.for_vocab(config.audio_vocab)
     enc_out = encode(text_tokens, params, config)
-    stream = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
-    schedule_dec = ProgressSchedule(len(stream) + target_len, config.progress_scale)
-    schedule_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+    prefix = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
     cap = math.ceil(LENGTH_CAP_FACTOR * target_len)
+    schedule_dec = ProgressSchedule(len(prefix) + target_len, config.progress_scale)
+    enc_progress = ProgressSchedule(enc_out.length, config.progress_scale).position_ids()[None, :]
+    enc_states = nm.reshape(enc_out.states, (1, enc_out.length, config.d_model))
     rng = np.random.default_rng(sampler.seed)
     blocked = [specials.pad, specials.separator, specials.bos]
 
+    cache = DecoderCache()
+    inputs = np.array([prefix], dtype=np.int64)
     generated: list = []
     while True:
-        logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc, params, config)
-        row = logits.data[-1].astype(np.float64).copy()
+        start, end = cache.length, cache.length + inputs.shape[1]
+        # past total_len (over-generation up to the cap) the progress ids extrapolate
+        dec_progress = schedule_dec.position_ids(end)[None, start:]
+        logits = decoder_batch(inputs, enc_states, None, dec_progress, enc_progress,
+                               params, config, cache)
+        row = logits.data[0, -1].astype(np.float64)
         row[blocked] = -np.inf
         token = filter_and_sample(row, sampler, rng)
         if token == specials.eos:
             return GenerationResult(tokens=generated, stop_reason="eos",
                                     generated_len=len(generated), target_len=target_len)
         generated.append(token)
-        stream.append(token)
         if len(generated) >= cap:
             return GenerationResult(tokens=generated, stop_reason="length_cap",
                                     generated_len=len(generated), target_len=target_len)
+        inputs = np.array([[token]], dtype=np.int64)

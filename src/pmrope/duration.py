@@ -60,6 +60,8 @@ def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
     Accepts a DurationEstimate or plain seconds.
     """
     seconds = estimate.seconds if isinstance(estimate, DurationEstimate) else float(estimate)
+    if not math.isfinite(seconds):
+        raise ValueError(f"duration must be finite, got {seconds}")
     if seconds <= 0:
         raise ValueError(f"duration must be positive, got {seconds}")
     if frame_rate < 1:

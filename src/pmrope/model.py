@@ -143,42 +143,44 @@ class ModelParams:
         )
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Seeded scaled-normal initialization; gains start at one."""
-    rng = np.random.default_rng(seed)
+def param_shapes(config: ModelConfig) -> dict:
+    """{name: shape} of every parameter tensor, in checkpoint order."""
     d, f = config.d_model, config.ffn_dim
-    proj_std = 1.0 / math.sqrt(d)
-    tensors: dict = {}
-
-    def normal(name, shape, std):
-        tensors[name] = Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-    def gain(name):
-        tensors[name] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-
-    normal("text_emb", (config.text_vocab, d), EMBED_INIT_STD)
-    normal("audio_emb", (config.audio_vocab_ext, d), EMBED_INIT_STD)
+    shapes = {"text_emb": (config.text_vocab, d), "audio_emb": (config.audio_vocab_ext, d)}
     for i in range(config.n_enc_layers):
-        gain(f"enc.{i}.attn.norm")
+        shapes[f"enc.{i}.attn.norm"] = (d,)
         for w in ("wq", "wk", "wv", "wo"):
-            normal(f"enc.{i}.attn.{w}", (d, d), proj_std)
-        gain(f"enc.{i}.ffn.norm")
-        normal(f"enc.{i}.ffn.w1", (d, f), proj_std)
-        normal(f"enc.{i}.ffn.w2", (f, d), proj_std)
-    gain("enc.norm")
+            shapes[f"enc.{i}.attn.{w}"] = (d, d)
+        shapes[f"enc.{i}.ffn.norm"] = (d,)
+        shapes[f"enc.{i}.ffn.w1"] = (d, f)
+        shapes[f"enc.{i}.ffn.w2"] = (f, d)
+    shapes["enc.norm"] = (d,)
     for i in range(config.n_dec_layers):
-        gain(f"dec.{i}.self.norm")
-        for w in ("wq", "wk", "wv", "wo"):
-            normal(f"dec.{i}.self.{w}", (d, d), proj_std)
-        gain(f"dec.{i}.cross.norm")
-        for w in ("wq", "wk", "wv", "wo"):
-            normal(f"dec.{i}.cross.{w}", (d, d), proj_std)
-        gain(f"dec.{i}.ffn.norm")
-        normal(f"dec.{i}.ffn.w1", (d, f), proj_std)
-        normal(f"dec.{i}.ffn.w2", (f, d), proj_std)
-    gain("dec.norm")
-    normal("head.w1", (d, d), proj_std)
-    normal("head.w2", (d, config.audio_vocab_ext), proj_std)
+        for block in ("self", "cross"):
+            shapes[f"dec.{i}.{block}.norm"] = (d,)
+            for w in ("wq", "wk", "wv", "wo"):
+                shapes[f"dec.{i}.{block}.{w}"] = (d, d)
+        shapes[f"dec.{i}.ffn.norm"] = (d,)
+        shapes[f"dec.{i}.ffn.w1"] = (d, f)
+        shapes[f"dec.{i}.ffn.w2"] = (f, d)
+    shapes["dec.norm"] = (d,)
+    shapes["head.w1"] = (d, d)
+    shapes["head.w2"] = (d, config.audio_vocab_ext)
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Seeded scaled-normal initialization; gains (the .norm tensors) start at one."""
+    rng = np.random.default_rng(seed)
+    proj_std = 1.0 / math.sqrt(config.d_model)
+    tensors: dict = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith("norm"):
+            data = np.ones(shape, dtype=dtype)
+        else:
+            std = EMBED_INIT_STD if name.endswith("_emb") else proj_std
+            data = rng.normal(0.0, std, size=shape).astype(dtype)
+        tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(tensors, config)
 
 
@@ -244,24 +246,60 @@ def key_padding_mask(real: np.ndarray, dtype) -> np.ndarray:
     return mask[:, None, None, :]
 
 
-def _self_attention_block(x, prefix, positions, mask, params, config, rope):
+class DecoderCache:
+    """Per-utterance decoder state that lets decoding run one position at a time.
+
+    For each decoder layer it keeps the rotated self-attention keys and the
+    values of every position run so far, and the cross-attention keys and
+    values, projected (and progress-rotated) once on the first pass. The
+    self-attention entries grow with each pass; nothing is sized in advance.
+    """
+
+    def __init__(self):
+        self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d]
+        self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
+
+    @property
+    def length(self) -> int:
+        """Decoder positions already run through the cache."""
+        return next(iter(self.self_kv.values()))[0].data.shape[1] if self.self_kv else 0
+
+    def extend(self, prefix: str, k: Tensor, v: Tensor):
+        """Append a pass's keys and values to a layer's; returns all of them."""
+        if prefix in self.self_kv:
+            old_k, old_v = self.self_kv[prefix]
+            k = Tensor(np.concatenate((old_k.data, k.data), axis=1))
+            v = Tensor(np.concatenate((old_v.data, v.data), axis=1))
+        self.self_kv[prefix] = (k, v)
+        return k, v
+
+
+def _self_attention_block(x, prefix, positions, mask, params, config, rope, cache=None):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
     q = rotate_heads(nm.matmul(h, params[f"{prefix}.wq"]), positions, rope, config.n_heads)
     k = rotate_heads(nm.matmul(h, params[f"{prefix}.wk"]), positions, rope, config.n_heads)
     v = nm.matmul(h, params[f"{prefix}.wv"])
+    if cache is not None:
+        k, v = cache.extend(prefix, k, v)
     a = attention(q, k, v, config.n_heads, mask)
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
 
 def _cross_attention_block(x, enc_states, prefix, dec_progress, enc_progress, mask,
-                           params, config, rope):
+                           params, config, rope, cache=None):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
     q = nm.matmul(h, params[f"{prefix}.wq"])
-    k = nm.matmul(enc_states, params[f"{prefix}.wk"])
-    v = nm.matmul(enc_states, params[f"{prefix}.wv"])
     if config.pm_rope_enabled:
         q = rotate_heads(q, dec_progress, rope, config.n_heads)
-        k = rotate_heads(k, enc_progress, rope, config.n_heads)
+    if cache is not None and prefix in cache.cross_kv:
+        k, v = cache.cross_kv[prefix]
+    else:
+        k = nm.matmul(enc_states, params[f"{prefix}.wk"])
+        v = nm.matmul(enc_states, params[f"{prefix}.wv"])
+        if config.pm_rope_enabled:
+            k = rotate_heads(k, enc_progress, rope, config.n_heads)
+        if cache is not None:
+            cache.cross_kv[prefix] = (k, v)
     a = attention(q, k, v, config.n_heads, mask)
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
@@ -292,25 +330,32 @@ def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
 
 def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
                   dec_progress: np.ndarray, enc_progress: np.ndarray,
-                  params: ModelParams, config: ModelConfig) -> Tensor:
+                  params: ModelParams, config: ModelConfig, cache=None) -> Tensor:
     """Causal decoding of padded [n, S] streams -> [n, S, V+5] logits.
 
     Streams are right-padded; causality already keeps real positions from
     seeing the pad tail, so only encoder pads need masking (enc_real, [n, T]
     bool or None). Progress ID arrays are per-row ([n, S] and [n, T]).
+
+    With a DecoderCache the S stream positions continue the ones already in
+    it: they sit at integer positions cache.length onwards, attend to the
+    cached keys as well as to each other, and are appended to the cache.
+    Cross-attention keys and values come from the cache after its first pass.
     """
     n, S = streams.shape
+    past = 0 if cache is None else cache.length
     rope = RopeParams(config.head_dim, config.rope_base)
 
-    self_positions = np.broadcast_to(np.arange(S, dtype=np.float64), (n, S))
+    self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
     x = nm.embed(params["audio_emb"], streams)
-    self_mask = causal_mask(S, x.data.dtype)
+    # a single new position may see every key, so it needs no mask
+    self_mask = causal_mask(past + S, x.data.dtype)[past:] if S > 1 else None
     cross_mask = None if enc_real is None else key_padding_mask(enc_real, x.data.dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_positions, self_mask,
-                                  params, config, rope)
+                                  params, config, rope, cache)
         x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_progress,
-                                   enc_progress, cross_mask, params, config, rope)
+                                   enc_progress, cross_mask, params, config, rope, cache)
         x = _ffn_block(x, f"dec.{i}.ffn", params)
     h = nm.rms_norm(x, params["dec.norm"])
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])

@@ -40,9 +40,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
-        if any(d <= 0 for d in arr.shape):
+        if 0 in arr.shape:
             raise ShapeError(f"tensor dimensions must be positive, got {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)

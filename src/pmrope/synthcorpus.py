@@ -227,26 +227,77 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+_INT = (_is_int, "an int")
+_INT_LIST = (_is_int_list, "a list of ints")
+
+#: each JSONL record key, the check its value must pass and what that check wants
+_RECORD_FIELDS = {"text": _INT_LIST, "style_id": _INT, "stretch": _INT, "audio": _INT_LIST,
+                  "duration_tokens": _INT}
+
+
+def _load_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where}: not valid JSON: {err}") from None
+
+
 def load_manifest(corpus_dir):
-    """(CorpusConfig, audio_vocab) recorded alongside a saved corpus."""
-    with open(Path(corpus_dir) / MANIFEST_FILE, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return config_from_record(CorpusConfig, manifest["config"]), int(manifest["audio_vocab"])
+    """(CorpusConfig, audio_vocab) recorded alongside a saved corpus.
+
+    A missing or mistyped entry raises ValueError naming the file and the key.
+    """
+    path = Path(corpus_dir) / MANIFEST_FILE
+    manifest = _load_json(path.read_text(encoding="utf-8"), str(path))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    for key in ("config", "audio_vocab"):
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
+    if not _is_int(manifest["audio_vocab"]):
+        raise ValueError(f"{path}: key 'audio_vocab' must be {_INT[1]}, "
+                         f"got {manifest['audio_vocab']!r}")
+    try:
+        config = config_from_record(CorpusConfig, manifest["config"])
+    except ValueError as err:
+        raise ValueError(f"{path}: key 'config': {err}") from None
+    return config, manifest["audio_vocab"]
+
+
+def _utterance_from_record(rec, where: str) -> Utterance:
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: record must be a JSON object")
+    for key, (check, wanted) in _RECORD_FIELDS.items():
+        if key not in rec:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not check(rec[key]):
+            raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
+    return Utterance(**{key: rec[key] for key in _RECORD_FIELDS})
 
 
 def load_corpus(corpus_dir) -> Corpus:
+    """Read a corpus saved by save_corpus.
+
+    A malformed line raises ValueError naming the file, the line number and,
+    for a missing or mistyped field, the key.
+    """
     config, audio_vocab = load_manifest(corpus_dir)
     corpus = Corpus(config=config, audio_vocab=audio_vocab,
                     spec=build_symbol_spec(config, audio_vocab))
     for split, filename in SPLIT_FILES.items():
+        path = Path(corpus_dir) / filename
         utterances = []
-        with open(Path(corpus_dir) / filename, "r", encoding="utf-8") as fh:
-            for line in fh:
-                rec = json.loads(line)
-                utterances.append(Utterance(
-                    text=list(rec["text"]), style_id=int(rec["style_id"]),
-                    stretch=int(rec["stretch"]), audio=list(rec["audio"]),
-                    duration_tokens=int(rec["duration_tokens"]),
-                ))
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                where = f"{path}, line {number}"
+                utterances.append(_utterance_from_record(_load_json(line, where), where))
         setattr(corpus, split, utterances)
     return corpus

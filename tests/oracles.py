@@ -3,7 +3,8 @@
 Everything here is deliberately written a different way than the library:
 finite differences instead of the tape, recursion instead of iterative DP,
 complex multiplication instead of pairwise rotation, spelled-out arithmetic
-instead of shared helpers.
+instead of shared helpers, a full decoder rescan per token instead of a
+cache.
 """
 
 import math
@@ -12,7 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from pmrope import numerics as nm
-from pmrope.model import decoder_forward, encode
+from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult, filter_and_sample
+from pmrope.model import SpecialTokens, decoder_forward, encode
 from pmrope.positional import ProgressSchedule
 
 
@@ -106,3 +108,31 @@ def _example_loss(ex, params, config, mask_prompt):
     if mask_prompt:
         mask[: ex.prompt_len + 1] = False  # predictions of prompt tokens and separator
     return nm.cross_entropy(logits, targets, mask), int(mask.sum())
+
+
+def generate_rescan(text_tokens, prompt_audio_tokens, target_len, params, config, sampler):
+    """decoding.generate without a cache: every step reruns decoder_forward over
+    the whole stream and samples from its last row."""
+    specials = SpecialTokens.for_vocab(config.audio_vocab)
+    enc_out = encode(text_tokens, params, config)
+    stream = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
+    schedule_dec = ProgressSchedule(len(stream) + target_len, config.progress_scale)
+    schedule_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+    cap = math.ceil(LENGTH_CAP_FACTOR * target_len)
+    rng = np.random.default_rng(sampler.seed)
+    blocked = [specials.pad, specials.separator, specials.bos]
+
+    generated = []
+    while True:
+        logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc, params, config)
+        row = logits.data[-1].astype(np.float64)
+        row[blocked] = -np.inf
+        token = filter_and_sample(row, sampler, rng)
+        if token == specials.eos:
+            return GenerationResult(tokens=generated, stop_reason="eos",
+                                    generated_len=len(generated), target_len=target_len)
+        generated.append(token)
+        stream.append(token)
+        if len(generated) >= cap:
+            return GenerationResult(tokens=generated, stop_reason="length_cap",
+                                    generated_len=len(generated), target_len=target_len)

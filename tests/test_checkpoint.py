@@ -12,7 +12,8 @@ from pmrope.checkpoint import (
     save_checkpoint,
 )
 from pmrope.cli import main
-from pmrope.model import decoder_forward, encode
+from pmrope.model import ModelParams, decoder_forward, encode
+from pmrope.numerics import Tensor
 from pmrope.positional import ProgressSchedule
 
 
@@ -96,3 +97,28 @@ def test_bad_config_record_rejected(tiny_model, tmp_path, capsys, edit, message)
     code = main(["generate", "--checkpoint", str(path), "--text", "1,2", "--oracle-length", "3"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: {n: v for n, v in t.items() if n != "head.w2"}, "lacks tensors the config needs: head.w2"),
+    (lambda t: dict(t, extra=Tensor(np.zeros(3))), "does not use: extra"),
+    (lambda t: dict(t, **{"head.w1": Tensor(np.zeros((8, 9)))}), "'head.w1' has shape (8, 9)"),
+], ids=["missing", "extra", "misshaped"])
+def test_tensors_checked_against_config(tiny_model, tmp_path, capsys, edit, message):
+    params, config = tiny_model
+    path = tmp_path / "model.pmrt"
+    path.write_bytes(checkpoint_bytes(ModelParams(edit(dict(params.tensors)), config)))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert message in str(err.value)
+    code = main(["generate", "--checkpoint", str(path), "--text", "1,2", "--oracle-length", "3"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_duplicate_tensor_name_rejected(tiny_model):
+    params, config = tiny_model
+    tensors = dict(params.tensors, **{"dec.0.self.wZ": params["dec.0.self.wk"]})
+    blob = checkpoint_bytes(ModelParams(tensors, config))
+    with pytest.raises(CheckpointError, match="duplicate"):
+        params_from_bytes(blob.replace(b"dec.0.self.wZ", b"dec.0.self.wk"))

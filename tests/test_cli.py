@@ -124,6 +124,29 @@ class TestTrainCommand:
         save_checkpoint(copy, load_checkpoint(checkpoint))
         assert copy.read_bytes() == checkpoint.read_bytes()
 
+    @pytest.mark.parametrize("filename, edit, message", [
+        ("manifest.json", lambda m: {"audio_vocab": m["audio_vocab"]}, "missing key 'config'"),
+        ("manifest.json", lambda m: dict(m, audio_vocab=None), "'audio_vocab' must be an int"),
+        ("val.jsonl", lambda r: {k: v for k, v in r.items() if k != "style_id"},
+         "line 2: missing key 'style_id'"),
+        ("val.jsonl", lambda r: dict(r, audio=None), "line 2: key 'audio' must be a list"),
+    ], ids=["manifest_without_config", "null_audio_vocab", "record_without_style_id",
+            "null_audio"])
+    def test_malformed_corpus_exits_2(self, tmp_path, run_config_path, corpus_dir, capsys,
+                                      filename, edit, message):
+        path = corpus_dir / filename
+        if filename == "manifest.json":
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            lines = path.read_text().splitlines()
+            lines[1] = json.dumps(edit(json.loads(lines[1])))
+            path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "m.pmrt"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert filename in err and message in err
+
     def test_missing_corpus_exits_2(self, tmp_path, run_config_path):
         code = main(["train", "--config", run_config_path, "--corpus",
                      str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.pmrt"), "--quiet"])
@@ -165,6 +188,13 @@ class TestGenerateCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["target_len"] == 6
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan"])
+    def test_non_finite_target_seconds_exits_2(self, checkpoint, capsys, seconds):
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--target-seconds", seconds])
+        assert code == 2
+        assert "duration must be finite" in capsys.readouterr().err
 
     def test_out_of_range_prompt_token_exits_2(self, checkpoint):
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",

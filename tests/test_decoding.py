@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import generate_rescan
 from pmrope.decoding import GenerationResult, SamplerConfig, filter_and_sample, generate
-from pmrope.model import SpecialTokens
+from pmrope.model import DecoderCache, SpecialTokens, decoder_batch, decoder_forward, encode
+from pmrope.numerics import Tensor
+from pmrope.positional import ProgressSchedule
 
 
 def sample_many(logits, cfg, n=500, seed=0):
@@ -135,3 +140,80 @@ class TestGenerate:
         params, config = tiny_model
         with pytest.raises(ValueError):
             generate([1], [], 0, params, config, SamplerConfig())
+
+
+def cached_passes(text, prompt, target_len, generated, params, config, cache):
+    """Drive the decoder as generate does, on fixed tokens: one prefill pass over
+    bos + prompt + separator, then one pass per generated token. Yields the
+    stream and each pass's (start, end, logits)."""
+    specials = SpecialTokens.for_vocab(config.audio_vocab)
+    enc_out = encode(text, params, config)
+    prefix = [specials.bos, *prompt, specials.separator]
+    stream = prefix + list(generated)
+    dec_progress = ProgressSchedule(len(prefix) + target_len, config.progress_scale) \
+        .position_ids(len(stream))[None, :]
+    enc_progress = ProgressSchedule(enc_out.length, config.progress_scale).position_ids()[None, :]
+    states = Tensor(enc_out.states.data[None])
+    bounds = [(0, len(prefix))] + [(j, j + 1) for j in range(len(prefix), len(stream))]
+    for start, end in bounds:
+        logits = decoder_batch(np.array([stream[start:end]]), states, None,
+                               dec_progress[:, start:end], enc_progress, params, config, cache)
+        yield stream, start, end, logits.data[0]
+
+
+class TestIncrementalDecoding:
+    """Each cached pass against a full decoder_forward rescan of the same stream."""
+
+    # (prompt, target_len); every case decodes to the length cap, so all but
+    # target_len = 1 run past total_len on extrapolated progress ids
+    CASES = {"prompt": ([0, 1, 2], 6), "empty_prompt": ([], 4), "target_one": ([3], 1),
+             "past_target": ([0, 5], 10)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("pm_rope", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("model, tol", [("tiny_model", 1e-5), ("tiny_model_f64", 1e-10)],
+                             ids=["f32", "f64"])
+    def test_every_pass_matches_the_rescan(self, request, model, tol, pm_rope, case):
+        params, config = request.getfixturevalue(model)
+        config = replace(config, pm_rope_enabled=pm_rope)
+        prompt, target_len = self.CASES[case]
+        cap = -(-12 * target_len // 10)  # ceil(1.2 * target_len)
+        generated = np.random.default_rng(len(prompt) + target_len).integers(
+            0, config.audio_vocab, size=cap - 1)
+        text = [1, 2, 3]
+        enc_out = encode(text, params, config)
+        schedule_dec = ProgressSchedule(len(prompt) + 2 + target_len, config.progress_scale)
+        schedule_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+        cache = DecoderCache()
+        for stream, start, end, logits in cached_passes(text, prompt, target_len, generated,
+                                                        params, config, cache):
+            full = decoder_forward(stream[:end], enc_out, schedule_dec, schedule_enc,
+                                   params, config)
+            assert np.abs(logits - full.data[start:end]).max() <= tol, (start, end)
+            assert cache.length == end
+        for k, v in cache.self_kv.values():
+            assert k.shape == v.shape == (1, len(stream), config.d_model)
+
+    def test_cross_attention_projected_once(self, tiny_model):
+        params, config = tiny_model
+        cache = DecoderCache()
+        first = None
+        for _ in cached_passes([1, 2], [0], 3, [4, 5, 6], params, config, cache):
+            if first is None:
+                first = dict(cache.cross_kv)
+        assert len(first) == config.n_dec_layers
+        assert all(cache.cross_kv[name] is kv for name, kv in first.items())
+
+    @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
+    def test_generate_matches_the_rescan_oracle(self, request, model):
+        params, config = request.getfixturevalue(model)
+        reasons = set()
+        for pm_rope in (True, False):
+            cfg = replace(config, pm_rope_enabled=pm_rope)
+            for seed in range(8):
+                sampler = SamplerConfig(top_k=13, top_p=1.0, temperature=1.0, seed=seed)
+                fast = generate([1, 2, 3], [0, 1], 12, params, cfg, sampler)
+                slow = generate_rescan([1, 2, 3], [0, 1], 12, params, cfg, sampler)
+                assert (fast.tokens, fast.stop_reason) == (slow.tokens, slow.stop_reason)
+                reasons.add(fast.stop_reason)
+        assert reasons == {"eos", "length_cap"}

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pmrope.duration import (
@@ -71,6 +73,11 @@ class TestTokenCount:
     def test_monotone_in_seconds(self):
         counts = [target_token_count(s) for s in (0.5, 1.0, 2.5, 2.5001, 7.0)]
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("seconds", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, seconds):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            target_token_count(seconds)
 
     def test_alternate_frame_rate(self):
         assert target_token_count(2.0, frame_rate=25) == 50
