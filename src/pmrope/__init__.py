@@ -3,7 +3,7 @@ rotary cross-attention, duration-controlled decoding, and an evaluation suite.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .decoding import GenerationResult, SamplerConfig, filter_and_sample, generate
+from .decoding import GenerationResult, SamplerConfig, filter_and_sample, generate, generate_batch
 from .duration import (
     DEFAULT_RATES,
     DurationEstimate,

@@ -3,14 +3,18 @@
 Layout: magic, uint32 version, length-prefixed JSON config record, uint32
 tensor count, a directory of (name length, UTF-8 name, dtype code 0 = float32,
 rank, dims) entries, then the contiguous row-major payloads in directory
-order. Save -> load -> save round-trips byte-identically.
+order. Save -> load -> save round-trips byte-identically. A save goes
+through a temporary file in the same directory, fsynced, then renamed over
+the target, so the last good checkpoint survives a crash mid-write.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -48,8 +52,20 @@ def checkpoint_bytes(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(params))
+    """Write the checkpoint atomically: a crash or a failed write leaves the
+    file at path as it was, and no temporary file behind."""
+    path = Path(path)
+    blob = checkpoint_bytes(params)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_directory(directory: list, expected: dict) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .decoding import SamplerConfig, generate
+from .decoding import SamplerConfig, generate, generate_batch
 from .duration import (
     DEFAULT_FRAME_RATE,
     estimate_from_rate,
@@ -107,20 +107,22 @@ def _parse_tokens(text: str) -> list:
 def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: SamplerConfig):
     """Generate at oracle target lengths and score the result set.
 
-    Per-utterance sampler seeds derive as base seed + index, so two
-    configurations evaluated on the same split are exactly paired. Returns
-    (reports, scatter rows, per-utterance detail dict).
+    The utterances decode as one lockstep batch. Per-utterance sampler seeds
+    derive as base seed + index, so two configurations evaluated on the same
+    split are exactly paired. Returns (reports, scatter rows, per-utterance
+    detail dict).
     """
     alphabets = spec.style_alphabets()
+    prompts = [prompt_for(utt, spec) for utt in utterances]
+    results = generate_batch(
+        [(utt.text, prompt, utt.duration_tokens) for utt, prompt in zip(utterances, prompts)],
+        params, config, [replace(sampler, seed=sampler.seed + i) for i in range(len(utterances))])
     error_rates = []
     similarities = []
     target_seconds = []
     generated_seconds = []
     rows = []
-    for i, utt in enumerate(utterances):
-        prompt = prompt_for(utt, spec)
-        result = generate(utt.text, prompt, utt.duration_tokens, params, config,
-                          replace(sampler, seed=sampler.seed + i))
+    for i, (utt, prompt, result) in enumerate(zip(utterances, prompts, results)):
         error_rates.append(error_rate(utt.audio, result.tokens))
         if result.tokens:
             similarities.append(style_similarity(prompt, result.tokens, alphabets))
@@ -239,10 +241,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _test_slice(corpus, limit):
+    """The test split, or its first limit utterances."""
+    if limit is None:
+        return corpus.test
+    if limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {limit}")
+    return corpus.test[:limit]
+
+
 def cmd_eval(args) -> int:
     params, config = _load_model(args.checkpoint, args.pm_rope)
     corpus = load_corpus(args.corpus)
-    utterances = corpus.test[: args.limit] if args.limit else corpus.test
+    utterances = _test_slice(corpus, args.limit)
     sampler = SamplerConfig(seed=args.seed)
     reports, rows, _ = evaluate_model(params, config, corpus.spec, utterances, sampler)
     _write_reports(args.report, reports)
@@ -259,7 +270,7 @@ def cmd_ablate(args) -> int:
     if not config.pm_rope_enabled:
         raise ConfigError("ablate needs a checkpoint trained with progress rotation enabled")
     corpus = load_corpus(args.corpus)
-    utterances = corpus.test[: args.limit] if args.limit else corpus.test
+    utterances = _test_slice(corpus, args.limit)
     sampler = SamplerConfig(seed=args.seed)
     blocks = {}
     for label, enabled in (("pm_on", True), ("pm_off", False)):

@@ -2,10 +2,14 @@
 
 The decoder stream opens with bos + prompt + separator; the progress schedule
 spans that prefix plus the requested target length, mirroring training.
-Decoding is incremental: one prefill pass runs the prefix through the decoder
-and fills a DecoderCache, then each step runs only the newest token against
-it. The cross-attention progress of every position, including those past the
-target that over-generation reaches, follows from the step index and the
+Decoding is incremental and batched: generate_batch encodes every text in one
+pass, runs the right-padded prefixes through the decoder in one prefill pass
+that fills a DecoderCache, then runs every unfinished row's newest token in
+one pass per step (rows in lockstep). Each row keeps its own schedule,
+length cap and random generator, so it samples exactly the tokens it would
+sample alone; a row leaves the batch when it stops. generate is a batch of
+one. The cross-attention progress of every position, including those past
+the target that over-generation reaches, follows from the step index and the
 target alone, so it is fixed before decoding starts. At each step the logits
 pass through temperature scaling, top-k, then nucleus filtering before
 sampling. Generation stops at eos or at a 1.2x length cap (slack enough for
@@ -19,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics as nm
-from .model import DecoderCache, ModelConfig, ModelParams, SpecialTokens, decoder_batch, encode
+from .model import (
+    DecoderCache,
+    ModelConfig,
+    ModelParams,
+    SpecialTokens,
+    decoder_batch,
+    encode_texts,
+)
 from .positional import ProgressSchedule
 
 LENGTH_CAP_FACTOR = 1.2
@@ -76,35 +86,89 @@ def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelPar
     The prompt may be empty. pad/separator/bos are masked out of the sampling
     support; eos stays available as the stop signal.
     """
-    if target_len < 1:
-        raise ValueError(f"target_len must be >= 1, got {target_len}")
+    return generate_batch([(text_tokens, prompt_audio_tokens, target_len)], params, config,
+                          [sampler])[0]
+
+
+def generate_batch(requests, params: ModelParams, config: ModelConfig,
+                   samplers) -> list:
+    """generate for each (text, prompt, target_len) request, decoded in lockstep.
+
+    samplers holds one SamplerConfig per request; results come back in
+    request order.
+    """
+    requests = list(requests)
+    samplers = list(samplers)
+    if len(samplers) != len(requests):
+        raise ValueError(f"{len(samplers)} samplers for {len(requests)} requests")
+    if not requests:
+        return []
+    for _, _, target_len in requests:
+        if target_len < 1:
+            raise ValueError(f"target_len must be >= 1, got {target_len}")
     specials = SpecialTokens.for_vocab(config.audio_vocab)
-    enc_out = encode(text_tokens, params, config)
-    prefix = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
-    cap = math.ceil(LENGTH_CAP_FACTOR * target_len)
-    schedule_dec = ProgressSchedule(len(prefix) + target_len, config.progress_scale)
-    enc_progress = ProgressSchedule(enc_out.length, config.progress_scale).position_ids()[None, :]
-    enc_states = nm.reshape(enc_out.states, (1, enc_out.length, config.d_model))
-    rng = np.random.default_rng(sampler.seed)
+    enc_states, enc_real = encode_texts([text for text, _, _ in requests], params, config)
+    n, T = len(requests), enc_states.data.shape[1]
+    prefixes = [[specials.bos, *(int(t) for t in prompt), specials.separator]
+                for _, prompt, _ in requests]
+    targets = [target_len for _, _, target_len in requests]
+    caps = [math.ceil(LENGTH_CAP_FACTOR * target_len) for target_len in targets]
+    enc_progress = np.stack([
+        ProgressSchedule(len(text), config.progress_scale).position_ids(T)
+        for text, _, _ in requests])
+    # each row's progress ids out to its cap; past total_len they extrapolate
+    width = max(len(prefix) + cap for prefix, cap in zip(prefixes, caps))
+    dec_progress = np.stack([
+        ProgressSchedule(len(prefix) + target_len, config.progress_scale).position_ids(width)
+        for prefix, target_len in zip(prefixes, targets)])
+    rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
     blocked = [specials.pad, specials.separator, specials.bos]
 
+    P = max(len(prefix) for prefix in prefixes)
+    inputs = np.full((n, P), specials.pad, dtype=np.int64)
+    stream_real = np.zeros((n, P), dtype=bool)
+    for i, prefix in enumerate(prefixes):
+        inputs[i, : len(prefix)] = prefix
+        stream_real[i, : len(prefix)] = True
+    if stream_real.all():
+        stream_real = None
+    progress = dec_progress[:, :P]
+    last = np.array([len(prefix) - 1 for prefix in prefixes])  # sampled column per row
+    live = np.arange(n)       # request index of each batch row
+    nxt = last + 1            # stream index of each row's next token
     cache = DecoderCache()
-    inputs = np.array([prefix], dtype=np.int64)
-    generated: list = []
+    generated = [[] for _ in range(n)]
+    results = [None] * n
     while True:
-        start, end = cache.length, cache.length + inputs.shape[1]
-        # past total_len (over-generation up to the cap) the progress ids extrapolate
-        dec_progress = schedule_dec.position_ids(end)[None, start:]
-        logits = decoder_batch(inputs, enc_states, None, dec_progress, enc_progress,
-                               params, config, cache)
-        row = logits.data[0, -1].astype(np.float64)
-        row[blocked] = -np.inf
-        token = filter_and_sample(row, sampler, rng)
-        if token == specials.eos:
-            return GenerationResult(tokens=generated, stop_reason="eos",
-                                    generated_len=len(generated), target_len=target_len)
-        generated.append(token)
-        if len(generated) >= cap:
-            return GenerationResult(tokens=generated, stop_reason="length_cap",
-                                    generated_len=len(generated), target_len=target_len)
-        inputs = np.array([[token]], dtype=np.int64)
+        # enc_states and enc_progress are read on the first pass only; from then
+        # on the cache holds the cross-attention keys and values
+        logits = decoder_batch(inputs, enc_states, enc_real, progress, enc_progress,
+                               params, config, cache, stream_real)
+        rows = logits.data[np.arange(live.size), last].astype(np.float64)
+        rows[:, blocked] = -np.inf
+        keep = []
+        for row, i in enumerate(live):
+            token = filter_and_sample(rows[row], samplers[i], rngs[i])
+            if token == specials.eos:
+                stop = "eos"
+            else:
+                generated[i].append(token)
+                stop = "length_cap" if len(generated[i]) >= caps[i] else None
+            if stop is None:
+                keep.append(row)
+            else:
+                results[i] = GenerationResult(tokens=generated[i], stop_reason=stop,
+                                              generated_len=len(generated[i]),
+                                              target_len=targets[i])
+        if not keep:
+            return results
+        if len(keep) < live.size:
+            cache.select(keep)
+            live, nxt = live[keep], nxt[keep]
+            if enc_real is not None:
+                enc_real = enc_real[keep]
+        inputs = np.array([[generated[i][-1]] for i in live], dtype=np.int64)
+        progress = dec_progress[live, nxt][:, None]
+        nxt = nxt + 1
+        last = 0
+        stream_real = None

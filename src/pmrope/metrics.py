@@ -45,19 +45,24 @@ def error_rate(reference, hypothesis) -> float:
     """Levenshtein distance (unit costs) over the reference length.
 
     May exceed 1.0 when the hypothesis carries more errors than the reference
-    has tokens.
+    has tokens. The dynamic programme runs one reference token per row: a
+    row takes the deletion and substitution moves from the row above, then
+    insertions as a running minimum of cur[j] - j, shifted back by j.
     """
-    ref = list(reference)
-    hyp = list(hypothesis)
-    if not ref:
+    ref = np.asarray(list(reference))
+    hyp = np.asarray(list(hypothesis))
+    if ref.size == 0:
         raise ValueError("reference must be nonempty")
-    prev = list(range(len(hyp) + 1))
-    for i, r in enumerate(ref, start=1):
-        cur = [i] + [0] * len(hyp)
-        for j, h in enumerate(hyp, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (r != h))
-        prev = cur
-    return prev[-1] / len(ref)
+    mismatch = ref[:, None] != hyp[None, :]
+    j = np.arange(hyp.size + 1)
+    prev = j
+    cur = np.empty_like(j)
+    for i in range(1, ref.size + 1):
+        cur[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + mismatch[i - 1], out=cur[1:])
+        cur -= j
+        prev = np.minimum.accumulate(cur) + j
+    return int(prev[-1]) / ref.size
 
 
 def duration_accuracy(gen, target, margin: float = DEFAULT_DA_MARGIN) -> float:

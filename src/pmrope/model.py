@@ -247,17 +247,22 @@ def key_padding_mask(real: np.ndarray, dtype) -> np.ndarray:
 
 
 class DecoderCache:
-    """Per-utterance decoder state that lets decoding run one position at a time.
+    """Decoder state that lets decoding run one position at a time, for n rows.
 
     For each decoder layer it keeps the rotated self-attention keys and the
     values of every position run so far, and the cross-attention keys and
     values, projected (and progress-rotated) once on the first pass. The
     self-attention entries grow with each pass; nothing is sized in advance.
+
+    real is the [n, length] bool mask of the positions that hold tokens; the
+    rest are the pad tail of a right-padded pass. It stays None while no row
+    has pads, so a batch without padding builds no mask.
     """
 
     def __init__(self):
         self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d]
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
+        self.real = None          # [n, length] bool, or None when every position is real
 
     @property
     def length(self) -> int:
@@ -272,6 +277,26 @@ class DecoderCache:
             v = Tensor(np.concatenate((old_v.data, v.data), axis=1))
         self.self_kv[prefix] = (k, v)
         return k, v
+
+    def extend_real(self, real, n: int, S: int):
+        """Append a pass's [n, S] real-position mask (None: all real) to the
+        cache's; returns the mask over every key, or None when no row has pads."""
+        if real is None and self.real is None:
+            return None
+        old = np.ones((n, self.length), dtype=bool) if self.real is None else self.real
+        new = np.ones((n, S), dtype=bool) if real is None else real
+        self.real = np.concatenate((old, new), axis=1)
+        return self.real
+
+    def select(self, rows) -> None:
+        """Keep only the given rows (indices in the current row order)."""
+        for store in (self.self_kv, self.cross_kv):
+            for prefix, (k, v) in store.items():
+                store[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
+        if self.real is not None:
+            self.real = self.real[rows]
+            if self.real.all():
+                self.real = None
 
 
 def _self_attention_block(x, prefix, positions, mask, params, config, rope, cache=None):
@@ -330,26 +355,38 @@ def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
 
 def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
                   dec_progress: np.ndarray, enc_progress: np.ndarray,
-                  params: ModelParams, config: ModelConfig, cache=None) -> Tensor:
+                  params: ModelParams, config: ModelConfig, cache=None,
+                  stream_real=None) -> Tensor:
     """Causal decoding of padded [n, S] streams -> [n, S, V+5] logits.
 
     Streams are right-padded; causality already keeps real positions from
     seeing the pad tail, so only encoder pads need masking (enc_real, [n, T]
     bool or None). Progress ID arrays are per-row ([n, S] and [n, T]).
 
-    With a DecoderCache the S stream positions continue the ones already in
-    it: they sit at integer positions cache.length onwards, attend to the
-    cached keys as well as to each other, and are appended to the cache.
-    Cross-attention keys and values come from the cache after its first pass.
+    With a DecoderCache the S stream positions continue each row's stream:
+    they sit at integer positions from that row's count of real cached
+    positions onwards, attend to the cached keys as well as to each other,
+    and are appended to the cache. stream_real ([n, S] bool, None when all
+    real) marks the pass's pad tail, which later passes must not see; cached
+    pad keys are masked only while some row has them. Cross-attention keys
+    and values come from the cache after its first pass.
     """
     n, S = streams.shape
     past = 0 if cache is None else cache.length
     rope = RopeParams(config.head_dim, config.rope_base)
 
-    self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
     x = nm.embed(params["audio_emb"], streams)
-    # a single new position may see every key, so it needs no mask
+    # a single new position may see every key, so it needs no causal mask
     self_mask = causal_mask(past + S, x.data.dtype)[past:] if S > 1 else None
+    if cache is None or cache.real is None:
+        self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
+    else:
+        counts = cache.real.sum(axis=1)
+        self_positions = counts[:, None] + np.arange(S, dtype=np.float64)
+    keys_real = None if cache is None else cache.extend_real(stream_real, n, S)
+    if keys_real is not None:
+        pads = key_padding_mask(keys_real, x.data.dtype)
+        self_mask = pads if self_mask is None else self_mask + pads
     cross_mask = None if enc_real is None else key_padding_mask(enc_real, x.data.dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_positions, self_mask,
@@ -361,15 +398,35 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])
 
 
+def encode_texts(texts, params: ModelParams, config: ModelConfig):
+    """Bidirectional encoding of text token sequences in one encode_batch call.
+
+    The texts are right-padded to the longest; returns the [n, T, d] states
+    and the [n, T] bool mask of real positions (None when no text is padded).
+    """
+    rows = []
+    for text in texts:
+        tokens = np.asarray(text, dtype=np.int64)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError("encoder input must be a nonempty token sequence")
+        if tokens.min() < 0 or tokens.max() >= config.text_vocab:
+            raise ValueError(f"text token outside [0, {config.text_vocab})")
+        rows.append(tokens)
+    T = max(tokens.size for tokens in rows)
+    padded = np.zeros((len(rows), T), dtype=np.int64)
+    real = np.zeros((len(rows), T), dtype=bool)
+    for i, tokens in enumerate(rows):
+        padded[i, : tokens.size] = tokens
+        real[i, : tokens.size] = True
+    if real.all():
+        real = None
+    return encode_batch(padded, real, params, config), real
+
+
 def encode(text_tokens, params: ModelParams, config: ModelConfig) -> EncoderOutput:
     """Bidirectional encoding of a text token sequence."""
-    tokens = np.asarray(text_tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ValueError("encoder input must be a nonempty token sequence")
-    if tokens.min() < 0 or tokens.max() >= config.text_vocab:
-        raise ValueError(f"text token outside [0, {config.text_vocab})")
-    T = tokens.size
-    states = encode_batch(tokens[None, :], None, params, config)
+    states, _ = encode_texts([text_tokens], params, config)
+    T = states.data.shape[1]
     return EncoderOutput(states=nm.reshape(states, (T, config.d_model)), length=T)
 
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pmrope import checkpoint
 from pmrope.checkpoint import (
     CheckpointError,
     checkpoint_bytes,
@@ -25,6 +26,49 @@ def test_save_load_save_is_byte_identical(tiny_model, tmp_path):
     loaded = load_checkpoint(path)
     save_checkpoint(path, loaded)
     assert path.read_bytes() == first
+
+
+class _HalfWriter:
+    """File stand-in whose write stores half the bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("failure", ["write", "fsync", "replace"])
+def test_failed_save_keeps_the_previous_checkpoint(tiny_model, tmp_path, monkeypatch, failure):
+    params, _ = tiny_model
+    path = tmp_path / "model.pmrt"
+    save_checkpoint(path, params)
+    before = path.read_bytes()
+    changed = params.copy()
+    changed.tensors["head.w2"].data += 1.0
+
+    def fail(*args, **kwargs):
+        raise OSError(f"{failure} failed")
+
+    with monkeypatch.context() as patch:
+        if failure == "write":
+            patch.setattr(checkpoint, "open", lambda *a, **k: _HalfWriter(open(*a, **k)),
+                          raising=False)
+        else:
+            patch.setattr(checkpoint.os, failure, fail)
+        with pytest.raises(OSError):
+            save_checkpoint(path, changed)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.pmrt"]
+    save_checkpoint(path, changed)
+    assert path.read_bytes() == checkpoint_bytes(changed)
 
 
 def test_loaded_tensors_match_exactly(tiny_model, tmp_path):

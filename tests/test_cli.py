@@ -270,6 +270,16 @@ class TestEvalCommand:
             duration_accuracy(gens, targets, margin=0.10), abs=1e-9)
 
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_2(self, checkpoint, corpus_dir, tmp_path, capsys, limit):
+        report_path = tmp_path / "report.json"
+        code = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir),
+                     "--report", str(report_path), "--limit", limit])
+        assert code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not report_path.exists()
+
+
 class TestAblateCommand:
     def test_paired_report_has_two_blocks_and_deltas(self, checkpoint, corpus_dir, tmp_path):
         report_path = tmp_path / "ablate.json"
@@ -282,6 +292,15 @@ class TestAblateCommand:
                                           "duration_accuracy"}
         for block in payload["configurations"].values():
             assert set(block) == {"error_rate", "style_similarity", "duration_accuracy"}
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_2(self, checkpoint, corpus_dir, tmp_path, capsys, limit):
+        report_path = tmp_path / "ablate.json"
+        code = main(["ablate", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir),
+                     "--report", str(report_path), "--limit", limit])
+        assert code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestDurationCommand:

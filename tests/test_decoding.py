@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import generate_rescan
-from pmrope.decoding import GenerationResult, SamplerConfig, filter_and_sample, generate
+from pmrope import decoding
+from pmrope.decoding import (
+    GenerationResult,
+    SamplerConfig,
+    filter_and_sample,
+    generate,
+    generate_batch,
+)
 from pmrope.model import DecoderCache, SpecialTokens, decoder_batch, decoder_forward, encode
 from pmrope.numerics import Tensor
 from pmrope.positional import ProgressSchedule
@@ -217,3 +224,114 @@ class TestIncrementalDecoding:
                 assert (fast.tokens, fast.stop_reason) == (slow.tokens, slow.stop_reason)
                 reasons.add(fast.stop_reason)
         assert reasons == {"eos", "length_cap"}
+
+
+class TestLockstepDecoding:
+    """generate_batch against per-row references: the rescan oracle's tokens,
+    and a decoder_forward rescan of each row alone for every pass's logits."""
+
+    # ragged texts and prefixes (pad keys on both sides), an empty prompt and
+    # target_len = 1; with the full support below rows stop at eos and at the
+    # cap, after different numbers of steps
+    REQUESTS = [([1, 2, 3], [0, 1], 12), ([4], [], 5), ([2, 5, 0, 1, 3], [3, 3, 3, 7], 1),
+                ([0, 1], [6], 9), ([3, 3, 3, 3, 3, 3, 3], [2, 0, 4], 3)]
+
+    @staticmethod
+    def samplers(seed):
+        return [SamplerConfig(top_k=13, top_p=1.0, temperature=1.0, seed=10 * seed + i)
+                for i in range(len(TestLockstepDecoding.REQUESTS))]
+
+    @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
+    def test_rows_match_the_rescan_oracle(self, request, model):
+        params, config = request.getfixturevalue(model)
+        reasons = set()
+        ragged_finish = False
+        for pm_rope in (True, False):
+            cfg = replace(config, pm_rope_enabled=pm_rope)
+            for seed in range(8):
+                samplers = self.samplers(seed)
+                results = generate_batch(self.REQUESTS, params, cfg, samplers)
+                for (text, prompt, target_len), sampler, fast in zip(self.REQUESTS, samplers,
+                                                                     results):
+                    slow = generate_rescan(text, prompt, target_len, params, cfg, sampler)
+                    assert (fast.tokens, fast.stop_reason) == (slow.tokens, slow.stop_reason)
+                    assert fast.target_len == target_len
+                    reasons.add(fast.stop_reason)
+                ragged_finish |= len({r.generated_len for r in results}) > 1
+        assert reasons == {"eos", "length_cap"}
+        assert ragged_finish
+
+    @pytest.mark.parametrize("pm_rope", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("model, tol", [("tiny_model", 1e-5), ("tiny_model_f64", 1e-10)],
+                             ids=["f32", "f64"])
+    def test_every_pass_matches_a_rescan_of_each_row(self, request, monkeypatch, model, tol,
+                                                     pm_rope):
+        params, config = request.getfixturevalue(model)
+        config = replace(config, pm_rope_enabled=pm_rope)
+        specials = SpecialTokens.for_vocab(config.audio_vocab)
+        passes = []
+
+        def recording(*args, **kwargs):
+            logits = decoder_batch(*args, **kwargs)
+            passes.append(logits.data.copy())
+            return logits
+
+        monkeypatch.setattr(decoding, "decoder_batch", recording)
+        for seed in range(3):
+            passes.clear()
+            results = generate_batch(self.REQUESTS, params, config, self.samplers(seed))
+            # a row takes part in one pass per token it sampled, eos included
+            steps = [r.generated_len + (r.stop_reason == "eos") for r in results]
+            assert len(passes) == max(steps)
+            for k, logits in enumerate(passes):
+                live = [i for i in range(len(results)) if steps[i] > k]
+                assert logits.shape[0] == len(live)
+                for row, i in enumerate(live):
+                    text, prompt, target_len = self.REQUESTS[i]
+                    prefix = [specials.bos, *prompt, specials.separator]
+                    stream = prefix + results[i].tokens[:k]
+                    enc_out = encode(text, params, config)
+                    full = decoder_forward(
+                        stream, enc_out,
+                        ProgressSchedule(len(prefix) + target_len, config.progress_scale),
+                        ProgressSchedule(enc_out.length, config.progress_scale),
+                        params, config).data
+                    got = logits[row, : len(prefix)] if k == 0 else logits[row, :1]
+                    want = full if k == 0 else full[-1:]
+                    assert np.abs(got - want).max() <= tol, (seed, k, i)
+
+    def test_select_keeps_rows_and_drops_the_mask_with_the_last_pad(self, tiny_model):
+        params, config = tiny_model
+        pad = SpecialTokens.for_vocab(config.audio_vocab).pad
+        streams = np.array([[8, 1, 12], [8, 12, pad]])
+        real = streams != pad
+        states = Tensor(np.ones((2, 3, config.d_model), dtype=np.float32))
+        cache = DecoderCache()
+        decoder_batch(streams, states, None, np.zeros((2, 3)), np.zeros((2, 3)), params,
+                      config, cache, real)
+        assert (cache.real == real).all()
+        both = cache.self_kv["dec.0.self"][0].data
+        cache.select([1, 0])
+        assert (cache.real == real[::-1]).all()
+        cache.select([1])
+        assert cache.real is None
+        assert (cache.self_kv["dec.0.self"][0].data[0] == both[0]).all()
+        assert cache.cross_kv["dec.0.cross"][0].shape == (1, 3, config.d_model)
+
+    def test_sampler_count_must_match(self, tiny_model):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match="2 samplers for 1 requests"):
+            generate_batch([([1], [], 3)], params, config, [SamplerConfig()] * 2)
+        assert generate_batch([], params, config, []) == []
+
+    @pytest.mark.parametrize("bad, message", [
+        (([1], [], 0), "target_len must be >= 1"),
+        (([], [], 3), "nonempty token sequence"),
+        (([1, 6], [], 3), r"text token outside \[0, 6\)"),
+    ], ids=["target_zero", "empty_text", "text_token_out_of_range"])
+    def test_bad_requests_raise_what_generate_raises(self, tiny_model, bad, message):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match=message):
+            generate(*bad, params, config, SamplerConfig())
+        with pytest.raises(ValueError, match=message):
+            generate_batch([([2], [0], 4), bad], params, config, [SamplerConfig()] * 2)

@@ -35,9 +35,16 @@ class TestErrorRate:
 
     def test_random_pairs_match_recursive_oracle(self):
         rng = np.random.default_rng(0)
+        # an empty hypothesis and ones longer than the reference, then seeded
+        # pairs: short ones over a small alphabet, and decode-sized ones
+        pairs = [([1, 2, 3], []), ([1], [1, 2, 3, 4]), ([2, 0], [0, 2, 2, 0, 1])]
         for _ in range(300):
-            ref = list(rng.integers(0, 4, rng.integers(1, 9)))
-            hyp = list(rng.integers(0, 4, rng.integers(0, 9)))
+            pairs.append((list(rng.integers(0, 4, rng.integers(1, 9))),
+                          list(rng.integers(0, 4, rng.integers(0, 13)))))
+        for _ in range(20):
+            pairs.append((list(rng.integers(0, 8, rng.integers(1, 80))),
+                          list(rng.integers(0, 8, rng.integers(0, 100)))))
+        for ref, hyp in pairs:
             assert error_rate(ref, hyp) == levenshtein_recursive(ref, hyp) / len(ref)
 
     def test_triangle_style_bound(self):
