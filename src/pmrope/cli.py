@@ -107,10 +107,11 @@ def _parse_tokens(text: str) -> list:
 def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: SamplerConfig):
     """Generate at oracle target lengths and score the result set.
 
-    The utterances decode as one lockstep batch. Per-utterance sampler seeds
-    derive as base seed + index, so two configurations evaluated on the same
-    split are exactly paired. Returns (reports, scatter rows, per-utterance
-    detail dict).
+    The utterances decode as one lockstep batch per prompt length; every
+    corpus prompt has the same length, so a split is one batch. Per-utterance
+    sampler seeds derive as base seed + index, so two configurations
+    evaluated on the same split are exactly paired. Returns (reports,
+    scatter rows, per-utterance detail dict).
     """
     alphabets = spec.style_alphabets()
     prompts = [prompt_for(utt, spec) for utt in utterances]

@@ -3,17 +3,18 @@
 The decoder stream opens with bos + prompt + separator; the progress schedule
 spans that prefix plus the requested target length, mirroring training.
 Decoding is incremental and batched: generate_batch encodes every text in one
-pass, runs the right-padded prefixes through the decoder in one prefill pass
-that fills a DecoderCache, then runs every unfinished row's newest token in
-one pass per step (rows in lockstep). Each row keeps its own schedule,
-length cap and random generator, so it samples exactly the tokens it would
-sample alone; a row leaves the batch when it stops. generate is a batch of
-one. The cross-attention progress of every position, including those past
-the target that over-generation reaches, follows from the step index and the
-target alone, so it is fixed before decoding starts. At each step the logits
-pass through temperature scaling, top-k, then nucleus filtering before
-sampling. Generation stops at eos or at a 1.2x length cap (slack enough for
-the +/-10% duration-accuracy window to register misses).
+pass, then decodes one lockstep batch per prompt length. A batch runs its
+prefixes, all of one length, through the decoder in one prefill pass that
+fills a DecoderCache, then runs every unfinished row's newest token in one
+pass per step. Each row keeps its own schedule, length cap and random
+generator, so it samples exactly the tokens it would sample alone; a row
+leaves the batch when it stops. generate is a batch of one. The
+cross-attention progress of every position, including those past the target
+that over-generation reaches, follows from the step index and the target
+alone, so it is fixed before decoding starts. At each step the logits pass
+through temperature scaling, top-k, then nucleus filtering before sampling.
+Generation stops at eos or at a 1.2x length cap (slack enough for the +/-10%
+duration-accuracy window to register misses).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (
     decoder_batch,
     encode_texts,
 )
+from .numerics import Tensor
 from .positional import ProgressSchedule
 
 LENGTH_CAP_FACTOR = 1.2
@@ -92,9 +94,11 @@ def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelPar
 
 def generate_batch(requests, params: ModelParams, config: ModelConfig,
                    samplers) -> list:
-    """generate for each (text, prompt, target_len) request, decoded in lockstep.
+    """generate for each (text, prompt, target_len) request.
 
-    samplers holds one SamplerConfig per request; results come back in
+    samplers holds one SamplerConfig per request. Every request is checked
+    and every text encoded before the first decoder pass; the requests then
+    decode in one lockstep batch per prompt length. Results come back in
     request order.
     """
     requests = list(requests)
@@ -106,36 +110,43 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
     for _, _, target_len in requests:
         if target_len < 1:
             raise ValueError(f"target_len must be >= 1, got {target_len}")
-    specials = SpecialTokens.for_vocab(config.audio_vocab)
     enc_states, enc_real = encode_texts([text for text, _, _ in requests], params, config)
+    groups = {}
+    for i, (_, prompt, _) in enumerate(requests):
+        groups.setdefault(len(prompt), []).append(i)
+    results = [None] * len(requests)
+    for rows in groups.values():
+        decoded = _decode_lockstep(
+            [requests[i] for i in rows], [samplers[i] for i in rows],
+            Tensor(enc_states.data[rows]), None if enc_real is None else enc_real[rows],
+            params, config)
+        for i, result in zip(rows, decoded):
+            results[i] = result
+    return results
+
+
+def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
+                     params: ModelParams, config: ModelConfig) -> list:
+    """Decode requests whose prompts all have one length as one lockstep batch,
+    from their encoder states; results come back in request order."""
+    specials = SpecialTokens.for_vocab(config.audio_vocab)
     n, T = len(requests), enc_states.data.shape[1]
-    prefixes = [[specials.bos, *(int(t) for t in prompt), specials.separator]
-                for _, prompt, _ in requests]
-    targets = [target_len for _, _, target_len in requests]
-    caps = [math.ceil(LENGTH_CAP_FACTOR * target_len) for target_len in targets]
+    inputs = np.array([[specials.bos, *(int(t) for t in prompt), specials.separator]
+                       for _, prompt, _ in requests], dtype=np.int64)
+    P = inputs.shape[1]
+    caps = [math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests]
     enc_progress = np.stack([
         ProgressSchedule(len(text), config.progress_scale).position_ids(T)
         for text, _, _ in requests])
-    # each row's progress ids out to its cap; past total_len they extrapolate
-    width = max(len(prefix) + cap for prefix, cap in zip(prefixes, caps))
+    # each row's progress ids out to the longest cap; past total_len they extrapolate
     dec_progress = np.stack([
-        ProgressSchedule(len(prefix) + target_len, config.progress_scale).position_ids(width)
-        for prefix, target_len in zip(prefixes, targets)])
+        ProgressSchedule(P + target_len, config.progress_scale).position_ids(P + max(caps))
+        for _, _, target_len in requests])
     rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
     blocked = [specials.pad, specials.separator, specials.bos]
 
-    P = max(len(prefix) for prefix in prefixes)
-    inputs = np.full((n, P), specials.pad, dtype=np.int64)
-    stream_real = np.zeros((n, P), dtype=bool)
-    for i, prefix in enumerate(prefixes):
-        inputs[i, : len(prefix)] = prefix
-        stream_real[i, : len(prefix)] = True
-    if stream_real.all():
-        stream_real = None
     progress = dec_progress[:, :P]
-    last = np.array([len(prefix) - 1 for prefix in prefixes])  # sampled column per row
-    live = np.arange(n)       # request index of each batch row
-    nxt = last + 1            # stream index of each row's next token
+    live = np.arange(n)  # request index of each batch row
     cache = DecoderCache()
     generated = [[] for _ in range(n)]
     results = [None] * n
@@ -143,8 +154,8 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
         # enc_states and enc_progress are read on the first pass only; from then
         # on the cache holds the cross-attention keys and values
         logits = decoder_batch(inputs, enc_states, enc_real, progress, enc_progress,
-                               params, config, cache, stream_real)
-        rows = logits.data[np.arange(live.size), last].astype(np.float64)
+                               params, config, cache)
+        rows = logits.data[:, -1].astype(np.float64)
         rows[:, blocked] = -np.inf
         keep = []
         for row, i in enumerate(live):
@@ -159,16 +170,13 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
             else:
                 results[i] = GenerationResult(tokens=generated[i], stop_reason=stop,
                                               generated_len=len(generated[i]),
-                                              target_len=targets[i])
+                                              target_len=requests[i][2])
         if not keep:
             return results
         if len(keep) < live.size:
             cache.select(keep)
-            live, nxt = live[keep], nxt[keep]
+            live = live[keep]
             if enc_real is not None:
                 enc_real = enc_real[keep]
         inputs = np.array([[generated[i][-1]] for i in live], dtype=np.int64)
-        progress = dec_progress[live, nxt][:, None]
-        nxt = nxt + 1
-        last = 0
-        stream_real = None
+        progress = dec_progress[live, cache.length][:, None]

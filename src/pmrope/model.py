@@ -59,14 +59,18 @@ class ModelConfig:
         return self.audio_vocab + N_SPECIAL_TOKENS
 
 
-#: JSON values each config field annotation accepts; bool is an int subclass,
-#: so it is excluded by hand. A tuple field arrives as a JSON list of ints.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: each config field annotation -> (check of a JSON value, what the check
+#: wants); bool is an int subclass, so it is excluded by hand. A tuple field
+#: arrives as a JSON list of ints.
 _FIELD_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "tuple": lambda v: isinstance(v, list) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in v),
+    "int": (_is_int, "an int"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a float"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "tuple": (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of ints"),
 }
 
 
@@ -85,8 +89,8 @@ def config_from_record(cls, record):
         if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
         kind = kinds[key]
-        if not _FIELD_CHECKS[kind](value):
-            wanted = "a list of ints" if kind == "tuple" else kind
+        check, wanted = _FIELD_CHECKS[kind]
+        if not check(value):
             raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
         values[key] = tuple(value) if kind == "tuple" else value
     return cls(**values)
@@ -253,16 +257,13 @@ class DecoderCache:
     values of every position run so far, and the cross-attention keys and
     values, projected (and progress-rotated) once on the first pass. The
     self-attention entries grow with each pass; nothing is sized in advance.
-
-    real is the [n, length] bool mask of the positions that hold tokens; the
-    rest are the pad tail of a right-padded pass. It stays None while no row
-    has pads, so a batch without padding builds no mask.
+    Every row holds the same number of positions: cached streams are never
+    padded.
     """
 
     def __init__(self):
         self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d]
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
-        self.real = None          # [n, length] bool, or None when every position is real
 
     @property
     def length(self) -> int:
@@ -278,25 +279,11 @@ class DecoderCache:
         self.self_kv[prefix] = (k, v)
         return k, v
 
-    def extend_real(self, real, n: int, S: int):
-        """Append a pass's [n, S] real-position mask (None: all real) to the
-        cache's; returns the mask over every key, or None when no row has pads."""
-        if real is None and self.real is None:
-            return None
-        old = np.ones((n, self.length), dtype=bool) if self.real is None else self.real
-        new = np.ones((n, S), dtype=bool) if real is None else real
-        self.real = np.concatenate((old, new), axis=1)
-        return self.real
-
     def select(self, rows) -> None:
         """Keep only the given rows (indices in the current row order)."""
         for store in (self.self_kv, self.cross_kv):
             for prefix, (k, v) in store.items():
                 store[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
-        if self.real is not None:
-            self.real = self.real[rows]
-            if self.real.all():
-                self.real = None
 
 
 def _self_attention_block(x, prefix, positions, mask, params, config, rope, cache=None):
@@ -355,21 +342,18 @@ def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
 
 def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
                   dec_progress: np.ndarray, enc_progress: np.ndarray,
-                  params: ModelParams, config: ModelConfig, cache=None,
-                  stream_real=None) -> Tensor:
+                  params: ModelParams, config: ModelConfig, cache=None) -> Tensor:
     """Causal decoding of padded [n, S] streams -> [n, S, V+5] logits.
 
     Streams are right-padded; causality already keeps real positions from
     seeing the pad tail, so only encoder pads need masking (enc_real, [n, T]
     bool or None). Progress ID arrays are per-row ([n, S] and [n, T]).
 
-    With a DecoderCache the S stream positions continue each row's stream:
-    they sit at integer positions from that row's count of real cached
-    positions onwards, attend to the cached keys as well as to each other,
-    and are appended to the cache. stream_real ([n, S] bool, None when all
-    real) marks the pass's pad tail, which later passes must not see; cached
-    pad keys are masked only while some row has them. Cross-attention keys
-    and values come from the cache after its first pass.
+    With a DecoderCache the S stream positions continue every row's stream:
+    they sit at integer positions cache.length onwards, attend to the cached
+    keys as well as to each other, and are appended to the cache, so the
+    streams run through a cache must hold no pads. Cross-attention keys and
+    values come from the cache after its first pass.
     """
     n, S = streams.shape
     past = 0 if cache is None else cache.length
@@ -378,15 +362,7 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     x = nm.embed(params["audio_emb"], streams)
     # a single new position may see every key, so it needs no causal mask
     self_mask = causal_mask(past + S, x.data.dtype)[past:] if S > 1 else None
-    if cache is None or cache.real is None:
-        self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
-    else:
-        counts = cache.real.sum(axis=1)
-        self_positions = counts[:, None] + np.arange(S, dtype=np.float64)
-    keys_real = None if cache is None else cache.extend_real(stream_real, n, S)
-    if keys_real is not None:
-        pads = key_padding_mask(keys_real, x.data.dtype)
-        self_mask = pads if self_mask is None else self_mask + pads
+    self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
     cross_mask = None if enc_real is None else key_padding_mask(enc_real, x.data.dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_positions, self_mask,

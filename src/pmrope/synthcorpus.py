@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SpecialTokens, config_from_record
+from .model import _FIELD_CHECKS, SpecialTokens, config_from_record
 
 
 @dataclass(frozen=True)
@@ -227,20 +227,9 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
         fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
-
-
-_INT = (_is_int, "an int")
-_INT_LIST = (_is_int_list, "a list of ints")
-
-#: each JSONL record key, the check its value must pass and what that check wants
-_RECORD_FIELDS = {"text": _INT_LIST, "style_id": _INT, "stretch": _INT, "audio": _INT_LIST,
-                  "duration_tokens": _INT}
+#: each JSONL record key -> the config-field kind its value must be
+_RECORD_FIELDS = {"text": "tuple", "style_id": "int", "stretch": "int", "audio": "tuple",
+                  "duration_tokens": "int"}
 
 
 def _load_json(text: str, where: str):
@@ -262,8 +251,9 @@ def load_manifest(corpus_dir):
     for key in ("config", "audio_vocab"):
         if key not in manifest:
             raise ValueError(f"{path}: missing key {key!r}")
-    if not _is_int(manifest["audio_vocab"]):
-        raise ValueError(f"{path}: key 'audio_vocab' must be {_INT[1]}, "
+    is_int, wanted = _FIELD_CHECKS["int"]
+    if not is_int(manifest["audio_vocab"]):
+        raise ValueError(f"{path}: key 'audio_vocab' must be {wanted}, "
                          f"got {manifest['audio_vocab']!r}")
     try:
         config = config_from_record(CorpusConfig, manifest["config"])
@@ -275,9 +265,10 @@ def load_manifest(corpus_dir):
 def _utterance_from_record(rec, where: str) -> Utterance:
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: record must be a JSON object")
-    for key, (check, wanted) in _RECORD_FIELDS.items():
+    for key, kind in _RECORD_FIELDS.items():
         if key not in rec:
             raise ValueError(f"{where}: missing key {key!r}")
+        check, wanted = _FIELD_CHECKS[kind]
         if not check(rec[key]):
             raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
     return Utterance(**{key: rec[key] for key in _RECORD_FIELDS})

@@ -21,7 +21,7 @@ from .model import (
     ModelParams,
     SpecialTokens,
     decoder_batch,
-    encode_batch,
+    encode_texts,
     init_params,
 )
 from .numerics import Tape
@@ -198,21 +198,16 @@ def _finish_batch(examples: list, pad_id: int) -> Batch:
 
 
 def _batch_arrays(examples, config: ModelConfig, pad_id: int, mask_prompt: bool):
-    """Padded input/target/mask/progress arrays for one fused forward pass."""
+    """Padded decoder input/target/mask/progress arrays for one fused forward pass."""
     n = len(examples)
     S = max(len(ex.stream) for ex in examples) - 1  # teacher forcing drops the last token
     T = max(len(ex.text) for ex in examples)
     inputs = np.full((n, S), pad_id, dtype=np.int64)
     targets = np.full((n, S), pad_id, dtype=np.int64)
-    texts = np.zeros((n, T), dtype=np.int64)
-    text_real = np.zeros((n, T), dtype=bool)
     loss_mask = np.zeros((n, S), dtype=bool)
     dec_progress = np.zeros((n, S), dtype=np.float64)
     enc_progress = np.zeros((n, T), dtype=np.float64)
     for i, ex in enumerate(examples):
-        t = len(ex.text)
-        texts[i, :t] = ex.text
-        text_real[i, :t] = True
         length = len(ex.stream) - 1
         inputs[i, :length] = ex.stream[:-1]
         targets[i, :length] = ex.stream[1:]
@@ -220,10 +215,8 @@ def _batch_arrays(examples, config: ModelConfig, pad_id: int, mask_prompt: bool)
         if mask_prompt:
             loss_mask[i, : ex.prompt_len + 1] = False
         dec_progress[i] = ProgressSchedule(length, config.progress_scale).position_ids(S)
-        enc_progress[i] = ProgressSchedule(t, config.progress_scale).position_ids(T)
-    if not text_real.all():
-        return inputs, targets, texts, text_real, loss_mask, dec_progress, enc_progress
-    return inputs, targets, texts, None, loss_mask, dec_progress, enc_progress
+        enc_progress[i] = ProgressSchedule(len(ex.text), config.progress_scale).position_ids(T)
+    return inputs, targets, loss_mask, dec_progress, enc_progress
 
 
 # quadratic attention cost makes mixed-length padding expensive; examples are
@@ -251,9 +244,9 @@ def _length_groups(examples):
 
 def _fused_loss(examples, params: ModelParams, config: ModelConfig, mask_prompt: bool):
     specials = SpecialTokens.for_vocab(config.audio_vocab)
-    inputs, targets, texts, text_real, loss_mask, dec_prog, enc_prog = _batch_arrays(
+    inputs, targets, loss_mask, dec_prog, enc_prog = _batch_arrays(
         examples, config, specials.pad, mask_prompt)
-    enc_states = encode_batch(texts, text_real, params, config)
+    enc_states, text_real = encode_texts([ex.text for ex in examples], params, config)
     logits = decoder_batch(inputs, enc_states, text_real, dec_prog, enc_prog, params, config)
     n, S = inputs.shape
     flat = nm.reshape(logits, (n * S, config.audio_vocab_ext))

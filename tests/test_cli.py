@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from pmrope.cli import ConfigError, load_run_config, main
+from pmrope import decoding
+from pmrope.cli import ConfigError, evaluate_model, load_run_config, main
+from pmrope.decoding import SamplerConfig
+from pmrope.model import ModelConfig, init_params
+from pmrope.synthcorpus import load_corpus
 
 SMALL_RUN = {
     "model": {"n_enc_layers": 1, "n_dec_layers": 1, "d_model": 16, "n_heads": 2,
@@ -281,6 +286,27 @@ class TestEvalCommand:
 
 
 class TestAblateCommand:
+    def test_each_configuration_decodes_as_one_batch(self, corpus_dir, monkeypatch):
+        """One prefill pass per configuration: the split shares one prompt
+        length, so it decodes as one lockstep batch."""
+        corpus = load_corpus(corpus_dir)
+        assert len(corpus.test) == 6
+        config = ModelConfig(**SMALL_RUN["model"], audio_vocab=corpus.audio_vocab)
+        params = init_params(config, seed=0)
+        decoder_batch = decoding.decoder_batch
+        widths = []
+
+        def recording(streams, *args, **kwargs):
+            widths.append(streams.shape[1])
+            return decoder_batch(streams, *args, **kwargs)
+
+        monkeypatch.setattr(decoding, "decoder_batch", recording)
+        for pm_rope in (True, False):
+            widths.clear()
+            evaluate_model(params, replace(config, pm_rope_enabled=pm_rope), corpus.spec,
+                           corpus.test, SamplerConfig())
+            assert sum(width > 1 for width in widths) == 1
+
     def test_paired_report_has_two_blocks_and_deltas(self, checkpoint, corpus_dir, tmp_path):
         report_path = tmp_path / "ablate.json"
         code = main(["ablate", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir),

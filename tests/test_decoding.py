@@ -230,16 +230,20 @@ class TestLockstepDecoding:
     """generate_batch against per-row references: the rescan oracle's tokens,
     and a decoder_forward rescan of each row alone for every pass's logits."""
 
-    # ragged texts and prefixes (pad keys on both sides), an empty prompt and
-    # target_len = 1; with the full support below rows stop at eos and at the
-    # cap, after different numbers of steps
-    REQUESTS = [([1, 2, 3], [0, 1], 12), ([4], [], 5), ([2, 5, 0, 1, 3], [3, 3, 3, 7], 1),
-                ([0, 1], [6], 9), ([3, 3, 3, 3, 3, 3, 3], [2, 0, 4], 3)]
+    # one prompt length, so one lockstep batch: ragged texts (encoder pads) and
+    # ragged targets, target_len = 1 among them; with the full support below
+    # rows stop at eos and at the cap, after different numbers of steps
+    LOCKSTEP = [([1, 2, 3], [0, 1], 12), ([4], [5, 2], 5), ([2, 5, 0, 1, 3], [3, 3], 1),
+                ([3, 3, 3, 3, 3, 3, 3], [2, 0], 9)]
+    # prompt lengths 2, 0, 2, 3, 0, 3, 2 interleave three batches
+    MIXED = [([1, 2, 3], [0, 1], 12), ([4], [], 5), ([2, 5, 0, 1, 3], [3, 3], 1),
+             ([0, 1], [6, 4, 1], 9), ([3, 3, 3, 3, 3, 3, 3], [], 3), ([5], [2, 2, 2], 4),
+             ([1, 1], [7, 0], 7)]
 
     @staticmethod
-    def samplers(seed):
+    def samplers(seed, n):
         return [SamplerConfig(top_k=13, top_p=1.0, temperature=1.0, seed=10 * seed + i)
-                for i in range(len(TestLockstepDecoding.REQUESTS))]
+                for i in range(n)]
 
     @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
     def test_rows_match_the_rescan_oracle(self, request, model):
@@ -249,9 +253,9 @@ class TestLockstepDecoding:
         for pm_rope in (True, False):
             cfg = replace(config, pm_rope_enabled=pm_rope)
             for seed in range(8):
-                samplers = self.samplers(seed)
-                results = generate_batch(self.REQUESTS, params, cfg, samplers)
-                for (text, prompt, target_len), sampler, fast in zip(self.REQUESTS, samplers,
+                samplers = self.samplers(seed, len(self.MIXED))
+                results = generate_batch(self.MIXED, params, cfg, samplers)
+                for (text, prompt, target_len), sampler, fast in zip(self.MIXED, samplers,
                                                                      results):
                     slow = generate_rescan(text, prompt, target_len, params, cfg, sampler)
                     assert (fast.tokens, fast.stop_reason) == (slow.tokens, slow.stop_reason)
@@ -277,17 +281,22 @@ class TestLockstepDecoding:
             return logits
 
         monkeypatch.setattr(decoding, "decoder_batch", recording)
+        reasons = set()
+        ragged_finish = False
         for seed in range(3):
             passes.clear()
-            results = generate_batch(self.REQUESTS, params, config, self.samplers(seed))
+            results = generate_batch(self.LOCKSTEP, params, config,
+                                     self.samplers(seed, len(self.LOCKSTEP)))
             # a row takes part in one pass per token it sampled, eos included
             steps = [r.generated_len + (r.stop_reason == "eos") for r in results]
             assert len(passes) == max(steps)
+            reasons |= {r.stop_reason for r in results}
+            ragged_finish |= len(set(steps)) > 1
             for k, logits in enumerate(passes):
                 live = [i for i in range(len(results)) if steps[i] > k]
                 assert logits.shape[0] == len(live)
                 for row, i in enumerate(live):
-                    text, prompt, target_len = self.REQUESTS[i]
+                    text, prompt, target_len = self.LOCKSTEP[i]
                     prefix = [specials.bos, *prompt, specials.separator]
                     stream = prefix + results[i].tokens[:k]
                     enc_out = encode(text, params, config)
@@ -296,27 +305,27 @@ class TestLockstepDecoding:
                         ProgressSchedule(len(prefix) + target_len, config.progress_scale),
                         ProgressSchedule(enc_out.length, config.progress_scale),
                         params, config).data
-                    got = logits[row, : len(prefix)] if k == 0 else logits[row, :1]
                     want = full if k == 0 else full[-1:]
-                    assert np.abs(got - want).max() <= tol, (seed, k, i)
+                    assert np.abs(logits[row] - want).max() <= tol, (seed, k, i)
+        assert reasons == {"eos", "length_cap"}
+        assert ragged_finish
 
-    def test_select_keeps_rows_and_drops_the_mask_with_the_last_pad(self, tiny_model):
+    def test_select_keeps_rows(self, tiny_model):
         params, config = tiny_model
-        pad = SpecialTokens.for_vocab(config.audio_vocab).pad
-        streams = np.array([[8, 1, 12], [8, 12, pad]])
-        real = streams != pad
-        states = Tensor(np.ones((2, 3, config.d_model), dtype=np.float32))
+        streams = np.array([[8, 1, 12], [8, 2, 12]])
+        states = Tensor(np.random.default_rng(0).normal(size=(2, 3, config.d_model)))
         cache = DecoderCache()
         decoder_batch(streams, states, None, np.zeros((2, 3)), np.zeros((2, 3)), params,
-                      config, cache, real)
-        assert (cache.real == real).all()
-        both = cache.self_kv["dec.0.self"][0].data
+                      config, cache)
+        before = {name: (k.data, v.data) for store in (cache.self_kv, cache.cross_kv)
+                  for name, (k, v) in store.items()}
         cache.select([1, 0])
-        assert (cache.real == real[::-1]).all()
         cache.select([1])
-        assert cache.real is None
-        assert (cache.self_kv["dec.0.self"][0].data[0] == both[0]).all()
-        assert cache.cross_kv["dec.0.cross"][0].shape == (1, 3, config.d_model)
+        for store in (cache.self_kv, cache.cross_kv):
+            for name, (k, v) in store.items():
+                assert k.shape == v.shape == (1, 3, config.d_model)
+                assert (k.data[0] == before[name][0][0]).all()
+                assert (v.data[0] == before[name][1][0]).all()
 
     def test_sampler_count_must_match(self, tiny_model):
         params, config = tiny_model
@@ -329,9 +338,16 @@ class TestLockstepDecoding:
         (([], [], 3), "nonempty token sequence"),
         (([1, 6], [], 3), r"text token outside \[0, 6\)"),
     ], ids=["target_zero", "empty_text", "text_token_out_of_range"])
-    def test_bad_requests_raise_what_generate_raises(self, tiny_model, bad, message):
+    def test_bad_requests_raise_what_generate_raises(self, tiny_model, monkeypatch, bad,
+                                                     message):
         params, config = tiny_model
         with pytest.raises(ValueError, match=message):
             generate(*bad, params, config, SamplerConfig())
+        calls = []
+        monkeypatch.setattr(decoding, "decoder_batch", lambda *args: calls.append(args))
+        # the bad request's prompt length differs, so it would decode in a
+        # later batch: it must fail before any decoder pass
         with pytest.raises(ValueError, match=message):
-            generate_batch([([2], [0], 4), bad], params, config, [SamplerConfig()] * 2)
+            generate_batch([([2], [0], 4), ([3, 1], [5], 2), bad], params, config,
+                           [SamplerConfig()] * 3)
+        assert calls == []
