@@ -11,10 +11,14 @@ generator, so it samples exactly the tokens it would sample alone; a row
 leaves the batch when it stops. generate is a batch of one. The
 cross-attention progress of every position, including those past the target
 that over-generation reaches, follows from the step index and the target
-alone, so it is fixed before decoding starts. At each step the logits pass
-through temperature scaling, top-k, then nucleus filtering before sampling.
-Generation stops at eos or at a 1.2x length cap (slack enough for the +/-10%
-duration-accuracy window to register misses).
+alone, so it is fixed before decoding starts. At each step one
+filter_and_sample call takes the logits of every unfinished row through
+temperature scaling, top-k, then nucleus filtering as one matrix; each row
+then draws from its own generator exactly the token Generator.choice would
+draw from its support, so batching changes no sampled token. Generation
+stops at eos or at a 1.2x length cap (slack enough for the +/-10%
+duration-accuracy window to register misses); targets above MAX_TARGET_LEN
+are refused before any work.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .numerics import Tensor
 from .positional import ProgressSchedule
 
 LENGTH_CAP_FACTOR = 1.2
+# longest target generate_batch accepts, about 82 s at 50 Hz and some 40 times
+# the longest corpus stream; decoding sizes per-row arrays from the target
+MAX_TARGET_LEN = 4096
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,8 @@ class SamplerConfig:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 @dataclass
@@ -62,23 +69,41 @@ class GenerationResult:
     target_len: int
 
 
-def filter_and_sample(logits, cfg: SamplerConfig, rng: np.random.Generator) -> int:
-    """Temperature -> top-k -> smallest nucleus with mass >= top_p -> sample.
+def filter_and_sample(logits, samplers, rngs) -> np.ndarray:
+    """One token per row of [rows, V] logits: temperature -> top-k -> smallest
+    nucleus with mass >= top_p -> sample.
 
+    samplers and rngs hold one SamplerConfig and one Generator per row, and
+    rows may differ in all three settings. Everything up to the nucleus cut
+    runs over the whole matrix at once. Each row then normalises its support
+    and draws one rng.random() from its own generator, through the cdf that
+    Generator.choice(support, p=probs) builds, so every row draws exactly the
+    token, and advances its generator exactly as far, as that call would.
     The nucleus boundary uses >= (a token landing exactly on top_p stays in);
-    a tiny slack absorbs float rounding of that tie.
+    a tiny slack absorbs float rounding of that tie. A row whose
+    probabilities are not finite raises ValueError.
     """
-    z = np.asarray(logits, dtype=np.float64) / cfg.temperature
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    order = np.argsort(-p, kind="stable")
-    kept = order[: min(cfg.top_k, order.size)]
-    cum = np.cumsum(p[kept])
-    cut = int(np.searchsorted(cum, cfg.top_p - 1e-12, side="left")) + 1
-    support = kept[: min(cut, kept.size)]
-    probs = p[support] / p[support].sum()
-    return int(rng.choice(support, p=probs))
+    temperature = np.array([s.temperature for s in samplers])
+    z = np.asarray(logits, dtype=np.float64) / temperature[:, None]
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=1, keepdims=True)
+    order = (-p).argsort(axis=1, kind="stable")
+    ranked = p[np.arange(len(p))[:, None], order]
+    # ranked rows are non-increasing, so their running mass is non-decreasing
+    # and the tokens below top_p form a prefix of each row
+    below = (ranked.cumsum(axis=1)
+             < np.array([s.top_p - 1e-12 for s in samplers])[:, None]).sum(axis=1)
+    tokens = np.empty(len(p), dtype=np.int64)
+    for row, (sampler, rng, n) in enumerate(zip(samplers, rngs, below.tolist())):
+        support = ranked[row, :min(n + 1, sampler.top_k)]
+        mass = support.sum()
+        if not mass > 0.0:  # a NaN logit or an infinite row max makes the row all NaN
+            raise ValueError(f"sampling probabilities of row {row} are not finite")
+        cdf = (support / mass).cumsum()
+        cdf /= cdf[-1]
+        tokens[row] = order[row, cdf.searchsorted(rng.random(), side="right")]
+    return tokens
 
 
 def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelParams,
@@ -110,6 +135,9 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
     for _, _, target_len in requests:
         if target_len < 1:
             raise ValueError(f"target_len must be >= 1, got {target_len}")
+        if target_len > MAX_TARGET_LEN:
+            raise ValueError(f"target_len must be <= MAX_TARGET_LEN = {MAX_TARGET_LEN}, "
+                             f"got {target_len}")
     enc_states, enc_real = encode_texts([text for text, _, _ in requests], params, config)
     groups = {}
     for i, (_, prompt, _) in enumerate(requests):
@@ -134,22 +162,27 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
     inputs = np.array([[specials.bos, *(int(t) for t in prompt), specials.separator]
                        for _, prompt, _ in requests], dtype=np.int64)
     P = inputs.shape[1]
-    caps = [math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests]
+    caps = np.array([math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests])
     enc_progress = np.stack([
         ProgressSchedule(len(text), config.progress_scale).position_ids(T)
         for text, _, _ in requests])
     # each row's progress ids out to the longest cap; past total_len they extrapolate
     dec_progress = np.stack([
-        ProgressSchedule(P + target_len, config.progress_scale).position_ids(P + max(caps))
+        ProgressSchedule(P + target_len, config.progress_scale).position_ids(P + caps.max())
         for _, _, target_len in requests])
     rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
     blocked = [specials.pad, specials.separator, specials.bos]
 
     progress = dec_progress[:, :P]
+    # live, row_len and row_cap hold one entry per batch row, as samplers, rngs
+    # and the cache do, and all are cut to the kept rows when rows stop;
+    # lengths and out hold one entry per request
     live = np.arange(n)  # request index of each batch row
+    row_len = np.zeros(n, dtype=np.int64)  # tokens kept so far, eos excluded
+    row_cap = caps
+    lengths = np.zeros(n, dtype=np.int64)
+    out = np.empty((n, caps.max()), dtype=np.int64)
     cache = DecoderCache()
-    generated = [[] for _ in range(n)]
-    results = [None] * n
     while True:
         # enc_states and enc_progress are read on the first pass only; from then
         # on the cache holds the cross-attention keys and values
@@ -157,26 +190,26 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
                                params, config, cache)
         rows = logits.data[:, -1].astype(np.float64)
         rows[:, blocked] = -np.inf
-        keep = []
-        for row, i in enumerate(live):
-            token = filter_and_sample(rows[row], samplers[i], rngs[i])
-            if token == specials.eos:
-                stop = "eos"
-            else:
-                generated[i].append(token)
-                stop = "length_cap" if len(generated[i]) >= caps[i] else None
-            if stop is None:
-                keep.append(row)
-            else:
-                results[i] = GenerationResult(tokens=generated[i], stop_reason=stop,
-                                              generated_len=len(generated[i]),
-                                              target_len=requests[i][2])
-        if not keep:
-            return results
-        if len(keep) < live.size:
+        sampled = filter_and_sample(rows, samplers, rngs)
+        going = sampled != specials.eos
+        out[live, row_len] = sampled  # an eos lands just past its row's length, never read
+        row_len += going
+        keep = np.flatnonzero(going & (row_len < row_cap))
+        if keep.size < live.size:
+            lengths[live] = row_len
+            if keep.size == 0:
+                break
             cache.select(keep)
-            live = live[keep]
+            live, row_len, row_cap = live[keep], row_len[keep], row_cap[keep]
+            samplers = [samplers[j] for j in keep]
+            rngs = [rngs[j] for j in keep]
             if enc_real is not None:
                 enc_real = enc_real[keep]
-        inputs = np.array([[generated[i][-1]] for i in live], dtype=np.int64)
+        inputs = sampled[keep, None]
         progress = dec_progress[live, cache.length][:, None]
+    # a row that stopped short of its cap stopped at eos
+    return [GenerationResult(tokens=out[i, :length].tolist(),
+                             stop_reason="length_cap" if length == cap else "eos",
+                             generated_len=length, target_len=request[2])
+            for i, (request, length, cap) in enumerate(zip(requests, lengths.tolist(),
+                                                              caps.tolist()))]

@@ -4,7 +4,7 @@ Everything here is deliberately written a different way than the library:
 finite differences instead of the tape, recursion instead of iterative DP,
 complex multiplication instead of pairwise rotation, spelled-out arithmetic
 instead of shared helpers, a full decoder rescan per token instead of a
-cache.
+cache, one row and rng.choice instead of a batched sampler.
 """
 
 import math
@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from pmrope import numerics as nm
-from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult, filter_and_sample
+from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult
 from pmrope.model import SpecialTokens, decoder_forward, encode
 from pmrope.positional import ProgressSchedule
 
@@ -110,9 +110,24 @@ def _example_loss(ex, params, config, mask_prompt):
     return nm.cross_entropy(logits, targets, mask), int(mask.sum())
 
 
+def sample_row(logits, cfg, rng):
+    """decoding.filter_and_sample for one row of logits, drawing with rng.choice."""
+    z = np.asarray(logits, dtype=np.float64) / cfg.temperature
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    order = np.argsort(-p, kind="stable")
+    kept = order[: min(cfg.top_k, order.size)]
+    cum = np.cumsum(p[kept])
+    cut = int(np.searchsorted(cum, cfg.top_p - 1e-12, side="left")) + 1
+    support = kept[: min(cut, kept.size)]
+    probs = p[support] / p[support].sum()
+    return int(rng.choice(support, p=probs))
+
+
 def generate_rescan(text_tokens, prompt_audio_tokens, target_len, params, config, sampler):
     """decoding.generate without a cache: every step reruns decoder_forward over
-    the whole stream and samples from its last row."""
+    the whole stream and samples from its last row with sample_row."""
     specials = SpecialTokens.for_vocab(config.audio_vocab)
     enc_out = encode(text_tokens, params, config)
     stream = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
@@ -127,7 +142,7 @@ def generate_rescan(text_tokens, prompt_audio_tokens, target_len, params, config
         logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc, params, config)
         row = logits.data[-1].astype(np.float64)
         row[blocked] = -np.inf
-        token = filter_and_sample(row, sampler, rng)
+        token = sample_row(row, sampler, rng)
         if token == specials.eos:
             return GenerationResult(tokens=generated, stop_reason="eos",
                                     generated_len=len(generated), target_len=target_len)

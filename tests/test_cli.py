@@ -7,7 +7,7 @@ import pytest
 
 from pmrope import decoding
 from pmrope.cli import ConfigError, evaluate_model, load_run_config, main
-from pmrope.decoding import SamplerConfig
+from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, init_params
 from pmrope.synthcorpus import load_corpus
 
@@ -200,6 +200,25 @@ class TestGenerateCommand:
                      "--target-seconds", seconds])
         assert code == 2
         assert "duration must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("temperature", ["inf", "nan"])
+    def test_non_finite_temperature_exits_2(self, checkpoint, capsys, temperature):
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--oracle-length", "4", "--temperature", temperature])
+        assert code == 2
+        assert "temperature must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--target-seconds", "1e9"),
+                                             ("--oracle-length", "1000000000")])
+    def test_target_above_the_limit_exits_2(self, checkpoint, capsys, monkeypatch, flag, value):
+        def no_decoding(*args):
+            raise AssertionError("decoding started")
+
+        monkeypatch.setattr(decoding, "encode_texts", no_decoding)
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1,2,3",
+                     flag, value])
+        assert code == 2
+        assert f"MAX_TARGET_LEN = {MAX_TARGET_LEN}" in capsys.readouterr().err
 
     def test_out_of_range_prompt_token_exits_2(self, checkpoint):
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",

@@ -1,11 +1,15 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import generate_rescan
-from pmrope import decoding
+from oracles import generate_rescan, sample_row
+from pmrope import checkpoint, decoding, synthcorpus
 from pmrope.decoding import (
+    MAX_TARGET_LEN,
     GenerationResult,
     SamplerConfig,
     filter_and_sample,
@@ -19,7 +23,7 @@ from pmrope.positional import ProgressSchedule
 
 def sample_many(logits, cfg, n=500, seed=0):
     rng = np.random.default_rng(seed)
-    return [filter_and_sample(logits, cfg, rng) for _ in range(n)]
+    return [int(filter_and_sample(np.asarray(logits)[None], [cfg], [rng])[0]) for _ in range(n)]
 
 
 def oracle_support(logits, cfg):
@@ -51,6 +55,11 @@ class TestSamplerConfig:
             SamplerConfig(top_p=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan, -np.inf])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            SamplerConfig(temperature=temperature)
 
 
 class TestFilterAndSample:
@@ -98,6 +107,57 @@ class TestFilterAndSample:
         a = sample_many(logits, cfg, n=25, seed=7)
         b = sample_many(logits, cfg, n=25, seed=7)
         assert a == b
+
+
+@st.composite
+def sampler_batches(draw):
+    """[rows, V] logits with per-row samplers and generator seeds. Rounded
+    logits force ties, -inf columns are blocked (never a whole row), top_k
+    runs past V, and top_p is 1, arbitrary, or the exact running mass of the
+    sorted softmax at some rank, so the nucleus boundary lands on a tie."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = gen.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), size=(rows, width))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        logits = np.round(logits, decimals)
+    blocked = gen.random((rows, width)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    blocked[np.arange(rows), gen.integers(0, width, size=rows)] = False
+    logits[blocked] = -np.inf
+    samplers = []
+    for row in logits:
+        temperature = draw(st.sampled_from([0.05, 0.7, 1.0, 3.0]))
+        z = row / temperature
+        p = np.exp(z - z.max())
+        mass = np.cumsum(np.sort(p / p.sum())[::-1])
+        top_p = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0),
+                               st.sampled_from([min(float(m), 1.0) for m in mass])))
+        samplers.append(SamplerConfig(top_k=draw(st.integers(1, width + 3)), top_p=top_p,
+                                      temperature=temperature))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+    return logits, samplers, seeds
+
+
+class TestBatchedSampler:
+    """filter_and_sample over many rows against the one-row rng.choice oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampler_batches())
+    def test_draws_what_the_oracle_draws(self, batch):
+        logits, samplers, seeds = batch
+        fast = [np.random.default_rng(s) for s in seeds]
+        slow = [np.random.default_rng(s) for s in seeds]
+        for _ in range(3):  # the generators must also advance alike
+            tokens = filter_and_sample(logits, samplers, fast)
+            assert tokens.tolist() == [sample_row(row, cfg, rng)
+                                       for row, cfg, rng in zip(logits, samplers, slow)]
+
+    def test_nan_row_raises_by_name(self):
+        logits = np.random.default_rng(0).normal(size=(4, 9))
+        logits[2, 5] = np.nan
+        rngs = [np.random.default_rng(i) for i in range(4)]
+        with pytest.raises(ValueError, match="row 2 are not finite"):
+            filter_and_sample(logits, [SamplerConfig()] * 4, rngs)
 
 
 class TestGenerate:
@@ -337,7 +397,10 @@ class TestLockstepDecoding:
         (([1], [], 0), "target_len must be >= 1"),
         (([], [], 3), "nonempty token sequence"),
         (([1, 6], [], 3), r"text token outside \[0, 6\)"),
-    ], ids=["target_zero", "empty_text", "text_token_out_of_range"])
+        (([1], [], MAX_TARGET_LEN + 1), f"MAX_TARGET_LEN = {MAX_TARGET_LEN}"),
+        (([1], [], 10**12), f"MAX_TARGET_LEN = {MAX_TARGET_LEN}"),
+    ], ids=["target_zero", "empty_text", "text_token_out_of_range", "target_above_limit",
+            "target_huge"])
     def test_bad_requests_raise_what_generate_raises(self, tiny_model, monkeypatch, bad,
                                                      message):
         params, config = tiny_model
@@ -351,3 +414,29 @@ class TestLockstepDecoding:
             generate_batch([([2], [0], 4), ([3, 1], [5], 2), bad], params, config,
                            [SamplerConfig()] * 3)
         assert calls == []
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "reference.pmrt"
+
+
+@pytest.mark.parametrize("pm_rope", [True, False], ids=["on", "off"])
+def test_reference_checkpoint_samples_what_the_oracle_samples(monkeypatch, pm_rope):
+    """The trained reference model's logits, not random ones: a 2-D row
+    reduction may round differently from a 1-D one, and so flip a draw."""
+    params = checkpoint.load_checkpoint(REFERENCE)
+    config = replace(params.config, pm_rope_enabled=pm_rope)
+    corpus = synthcorpus.generate_corpus(synthcorpus.CorpusConfig(seed=0), config.audio_vocab)
+    requests = [(u.text, synthcorpus.prompt_for(u, corpus.spec), u.duration_tokens)
+                for u in corpus.test[:40]]
+    samplers = [SamplerConfig(seed=1000 + i) for i in range(len(requests))]
+    fast = generate_batch(requests, params, config, samplers)
+
+    def row_by_row(logits, samplers, rngs):
+        return np.array([sample_row(row, cfg, rng)
+                         for row, cfg, rng in zip(logits, samplers, rngs)])
+
+    monkeypatch.setattr(decoding, "filter_and_sample", row_by_row)
+    slow = generate_batch(requests, params, config, samplers)
+    assert [(r.tokens, r.stop_reason) for r in fast] == [(r.tokens, r.stop_reason) for r in slow]
+    assert sum(r.generated_len for r in fast) > 10 * len(requests)
+    assert {r.stop_reason for r in fast} == {"eos", "length_cap"}
