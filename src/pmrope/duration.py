@@ -40,18 +40,14 @@ def estimate_from_reference(ref_duration_s: float, n_ref: int, n_tgt: int) -> Du
     return DurationEstimate(seconds=ref_duration_s / n_ref * n_tgt, source="reference_ratio")
 
 
-def estimate_from_rate(n_tgt: int, language: str, rates=None) -> DurationEstimate:
-    """Fallback estimate from a per-language seconds-per-unit table."""
-    if rates is None:
-        rates = DEFAULT_RATES
-    if language not in rates:
-        raise ValueError(f"unknown language {language!r}; known: {', '.join(sorted(rates))}")
-    rate = rates[language]
-    if rate <= 0:
-        raise ValueError(f"rate for {language!r} must be positive, got {rate}")
+def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
+    """Fallback estimate from the per-language DEFAULT_RATES table."""
+    if language not in DEFAULT_RATES:
+        raise ValueError(
+            f"unknown language {language!r}; known: {', '.join(sorted(DEFAULT_RATES))}")
     if n_tgt < 1:
         raise ValueError("unit count must be >= 1")
-    return DurationEstimate(seconds=rate * n_tgt, source="default_rate")
+    return DurationEstimate(seconds=DEFAULT_RATES[language] * n_tgt, source="default_rate")
 
 
 def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:

@@ -52,6 +52,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} != n_heads {self.n_heads} * head_dim {self.head_dim}"
             )
+        RopeParams(self.head_dim, self.rope_base)  # even head_dim, finite rope_base > 1
+        ProgressSchedule(1, self.progress_scale)  # finite progress_scale >= 0
 
     @property
     def audio_vocab_ext(self) -> int:

@@ -3,8 +3,11 @@
 Tensors wrap numpy arrays. Every differentiable operation records a backward
 closure on the innermost active Tape; a reverse sweep replays the records in
 exact reverse execution order, accumulating gradients additively wherever a
-tensor fans out into several consumers. With no active tape the same
-operations run as plain numpy forward math, which is what inference uses.
+tensor fans out into several consumers. The sweep consumes the tape: its
+records are released when backward returns, and tensors hold no reference to
+a tape, so a step's activations are freed by reference counting once the
+caller drops them. With no active tape the same operations run as plain numpy
+forward math, which is what inference uses.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def _tape_stack() -> list:
 class Tensor:
     """A dense real-valued array with an optional same-shaped gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -47,7 +50,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._tape = None
 
     @property
     def shape(self) -> tuple:
@@ -74,7 +76,9 @@ class Tape:
 
     Use as a context manager around the forward pass; separate tapes share no
     state, so independent forward/backward runs may proceed concurrently on
-    different threads.
+    different threads. The tape is the only owner of what it recorded:
+    ``backward`` takes the records off it, so a second ``backward`` on the
+    same tape raises ValueError.
     """
 
     def __init__(self):
@@ -91,10 +95,12 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if loss._tape is not self:
-            raise ValueError("loss was not produced by operations recorded on this tape")
+        if not any(out is loss for out, _, _ in reversed(self._records)):
+            raise ValueError("loss was not produced by operations recorded on this tape "
+                             "(a tape is consumed by its first backward)")
+        records, self._records = self._records, []
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, vjp in reversed(self._records):
+        for out, inputs, vjp in reversed(records):
             if out.grad is None:
                 continue  # branch that never reached the loss
             for tensor, grad in zip(inputs, vjp(out.grad)):
@@ -115,7 +121,6 @@ def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     stack = _tape_stack()
     if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = stack[-1]
         stack[-1]._records.append((out, tuple(inputs), vjp))
     return out
 

@@ -10,6 +10,7 @@ its target it has come.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ class RopeParams:
     def __post_init__(self):
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be a positive even integer, got {self.head_dim}")
-        if self.base <= 1.0:
-            raise ValueError(f"rotation base must exceed 1, got {self.base}")
+        if not 1.0 < self.base < math.inf:
+            raise ValueError(f"rope_base must be finite and exceed 1, got {self.base}")
         t = np.arange(self.head_dim // 2, dtype=np.float64)
         object.__setattr__(self, "frequencies", self.base ** (-2.0 * t / self.head_dim))
 
@@ -44,8 +45,9 @@ class RopeParams:
 class ProgressSchedule:
     """Affine map from token index to a progress position ID.
 
-    scale may be 0, which pins every position to 0 and thereby disables the
-    rotation entirely (the reference point for the on/off comparison).
+    scale must be finite; it may be 0, which pins every position to 0 and
+    thereby disables the rotation entirely (the reference point for the on/off
+    comparison).
     """
 
     total_len: int
@@ -54,8 +56,8 @@ class ProgressSchedule:
     def __post_init__(self):
         if self.total_len < 1:
             raise ValueError(f"total_len must be positive, got {self.total_len}")
-        if self.scale < 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"progress_scale must be finite and nonnegative, got {self.scale}")
 
     def position_ids(self, n: int | None = None) -> np.ndarray:
         """Progress IDs for indices 0..n-1 (default n = total_len).

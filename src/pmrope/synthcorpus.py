@@ -18,6 +18,9 @@ import numpy as np
 
 from .model import _FIELD_CHECKS, SpecialTokens, config_from_record
 
+#: text symbols rendered into each utterance's style prompt
+PROMPT_SYMBOLS = 2
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -128,21 +131,12 @@ def render_audio(text, style_id: int, stretch: int, spec: SymbolSpec) -> list:
     return out
 
 
-def _fresh_prompt_symbols(text, spec: SymbolSpec, prompt_symbols: int) -> list:
-    """Deterministic prompt symbols, preferring ones absent from the text."""
-    used = set(text)
-    fresh = [s for s in range(spec.n_symbols) if s not in used]
-    if len(fresh) < prompt_symbols:
-        fresh += [s for s in range(spec.n_symbols) if s in used]
-    return fresh[:prompt_symbols]
-
-
-def prompt_for(utterance: Utterance, spec: SymbolSpec, prompt_symbols: int = 2) -> list:
-    """Stretch-1 rendering of fresh symbols in the utterance's style — the
-    voice-cloning prompt analog."""
-    if prompt_symbols < 1:
-        raise ValueError("prompt_symbols must be >= 1")
-    symbols = _fresh_prompt_symbols(utterance.text, spec, prompt_symbols)
+def prompt_for(utterance: Utterance, spec: SymbolSpec) -> list:
+    """Stretch-1 rendering of PROMPT_SYMBOLS symbols in the utterance's style —
+    the voice-cloning prompt analog. Symbols absent from the text come first,
+    in symbol order."""
+    used = set(utterance.text)
+    symbols = sorted(range(spec.n_symbols), key=lambda s: s in used)[:PROMPT_SYMBOLS]
     return render_audio(symbols, utterance.style_id, 1, spec)
 
 

@@ -59,8 +59,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        if self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if not 0.0 < self.clip_norm < math.inf:
+            raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be positive, got {self.total_steps}")
         if self.token_budget < 1:
@@ -155,8 +159,8 @@ class Batch:
     lengths: np.ndarray  # true stream lengths
 
 
-def build_example(utterance, spec, specials: SpecialTokens, prompt_symbols: int = 2) -> DecoderExample:
-    prompt = prompt_for(utterance, spec, prompt_symbols)
+def build_example(utterance, spec, specials: SpecialTokens) -> DecoderExample:
+    prompt = prompt_for(utterance, spec)
     stream = [specials.bos, *prompt, specials.separator, *utterance.audio, specials.eos]
     return DecoderExample(
         text=np.asarray(utterance.text, dtype=np.int64),
@@ -299,15 +303,6 @@ class TrainResult:
     best_val_loss: float
     best_step: int
     curve: list = field(default_factory=list)  # rows of (step, train_loss, val_loss)
-
-
-def best_validation(curve) -> tuple:
-    """(step, val_loss) of the first minimum-validation row of a loss curve."""
-    best_step, best_val = curve[0][0], curve[0][2]
-    for step, _, val in curve[1:]:
-        if val < best_val:
-            best_step, best_val = step, val
-    return best_step, best_val
 
 
 def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,

@@ -131,7 +131,9 @@ def _with_config_blob(params, edit) -> bytes:
     (lambda c: [c], "JSON object"),
     (lambda c: b"{not json", "bad config record"),
     (lambda c: b"\xff\xfe", "bad config record"),
-], ids=["unknown_key", "string_int", "string_bool", "not_an_object", "not_json", "not_utf8"])
+    (lambda c: dict(c, progress_scale=float("nan")), "progress_scale"),
+], ids=["unknown_key", "string_int", "string_bool", "not_an_object", "not_json", "not_utf8",
+        "nan_progress_scale"])
 def test_bad_config_record_rejected(tiny_model, tmp_path, capsys, edit, message):
     params, _ = tiny_model
     path = tmp_path / "model.pmrt"

@@ -152,6 +152,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert filename in err and message in err
 
+    @pytest.mark.parametrize("section, values, field", [
+        ("model", {"progress_scale": float("nan")}, "progress_scale"),
+        ("model", {"progress_scale": float("inf")}, "progress_scale"),
+        ("model", {"rope_base": float("inf")}, "rope_base"),
+        ("model", {"rope_base": 1.0}, "rope_base"),
+        ("model", {"d_model": 14, "head_dim": 7}, "head_dim"),
+        ("train", {"peak_lr": float("nan")}, "peak_lr"),
+        ("train", {"peak_lr": float("inf")}, "peak_lr"),
+        ("train", {"peak_lr": -1.0}, "peak_lr"),
+        ("train", {"weight_decay": float("nan")}, "weight_decay"),
+        ("train", {"weight_decay": -0.1}, "weight_decay"),
+        ("train", {"clip_norm": float("nan")}, "clip_norm"),
+        ("train", {"clip_norm": float("inf")}, "clip_norm"),
+    ])
+    def test_bad_config_value_exits_2_before_training(self, tmp_path, corpus_dir, capsys,
+                                                      section, values, field):
+        raw = dict(SMALL_RUN, **{section: dict(SMALL_RUN[section], **values)})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "m.pmrt"
+        code = main(["train", "--config", str(path), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_exits_2(self, tmp_path, run_config_path):
         code = main(["train", "--config", run_config_path, "--corpus",
                      str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.pmrt"), "--quiet"])

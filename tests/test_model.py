@@ -27,6 +27,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="d_model"):
             ModelConfig(d_model=64, n_heads=4, head_dim=8)
 
+    @pytest.mark.parametrize("values, field", [
+        ({"d_model": 28, "head_dim": 7}, "head_dim"),
+        ({"rope_base": math.inf}, "rope_base"),
+        ({"rope_base": math.nan}, "rope_base"),
+        ({"progress_scale": math.nan}, "progress_scale"),
+        ({"progress_scale": -1.0}, "progress_scale"),
+    ])
+    def test_rotation_fields_checked_at_construction(self, values, field):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**values)
+
     def test_extended_vocab_adds_exactly_five(self):
         assert ModelConfig().audio_vocab_ext == 64 + 5
 

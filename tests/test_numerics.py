@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -259,7 +261,34 @@ class TestBackward:
     def test_no_tape_means_no_recording(self):
         x = rand((2, 2), seed=18)
         out = nm.add(x, x)
-        assert out._tape is None and not out.requires_grad
+        assert not out.requires_grad
+        with pytest.raises(ValueError, match="recorded"):
+            Tape().backward(nm.sum_all(out))
+
+    def test_second_backward_on_a_consumed_tape_raises(self):
+        x = rand((2, 2), seed=21)
+        with Tape() as tape:
+            loss = nm.sum_all(nm.mul(x, x))
+        tape.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ValueError, match="consumed"):
+            tape.backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_activations_freed_without_the_cycle_collector(self):
+        x = rand((3, 4), seed=22)
+        w = rand((4, 5), seed=23)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = nm.matmul(x, w)
+                loss = nm.sum_all(nm.gelu(hidden))
+            alive = weakref.ref(hidden.data)
+            tape.backward(loss)
+            del hidden, loss
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestFiniteness:

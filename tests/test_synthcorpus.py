@@ -143,7 +143,7 @@ class TestGenerateCorpus:
 class TestPromptFor:
     def test_prompt_length(self, spec):
         utt = Utterance(text=[1, 2, 3], style_id=2, stretch=2, audio=[], duration_tokens=1)
-        assert len(prompt_for(utt, spec, prompt_symbols=2)) == 2 * 4
+        assert len(prompt_for(utt, spec)) == 2 * 4
 
     def test_prompt_in_style_alphabet(self, spec):
         utt = Utterance(text=[1, 2], style_id=3, stretch=1, audio=[], duration_tokens=1)

@@ -6,6 +6,7 @@ import pytest
 from oracles import _example_loss
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.numerics import Tensor
+from pmrope import training
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.training import (
     ADAM_EPS,
@@ -14,7 +15,6 @@ from pmrope.training import (
     TrainConfig,
     adamw_step,
     batch_loss,
-    best_validation,
     build_example,
     clip_gradients,
     lr_at,
@@ -197,17 +197,18 @@ class TestBatching:
             make_batches(self.examples, token_budget=10, seed=0, pad_id=self.pad)
 
 
-class TestValidationSelection:
-    def test_argmin_of_synthetic_curve(self):
-        curve = [(100, 2.9, 3.0), (200, 1.9, 2.0), (300, 1.2, 2.5)]
-        assert best_validation(curve) == (200, 2.0)
-
-    def test_first_minimum_wins_ties(self):
-        curve = [(100, 0.0, 2.0), (200, 0.0, 2.0)]
-        assert best_validation(curve) == (100, 2.0)
-
-
 class TestTrainLoop:
+    def test_first_validation_minimum_is_kept(self, monkeypatch):
+        # initial train loss, then validation losses at steps 0, 2, 4 and 6
+        scripted = iter([5.0, 3.0, 2.0, 2.5, 2.0])
+        monkeypatch.setattr(training, "evaluate_loss", lambda *args: next(scripted))
+        model_config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
+                                   head_dim=8, ffn_dim=32)
+        result = train(small_corpus(), TrainConfig(total_steps=6, validation_interval=2),
+                       model_config)
+        assert [row[2] for row in result.curve] == [3.0, 2.0, 2.5, 2.0]
+        assert (result.best_step, result.best_val_loss) == (2, 2.0)
+
     def test_loss_decreases_on_small_corpus(self, tmp_path):
         corpus = small_corpus(n_train=64, n_val=6, seed=1)
         model_config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=32, n_heads=2,
