@@ -197,18 +197,34 @@ class TestBatching:
             make_batches(self.examples, token_budget=10, seed=0, pad_id=self.pad)
 
 
-class TestTrainLoop:
-    def test_first_validation_minimum_is_kept(self, monkeypatch):
-        # initial train loss, then validation losses at steps 0, 2, 4 and 6
-        scripted = iter([5.0, 3.0, 2.0, 2.5, 2.0])
+class TestValidationSelection:
+    """train() keeps the parameters of the first validation minimum."""
+
+    MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2, head_dim=8,
+                        ffn_dim=32)
+
+    def train_on_scripted_curve(self, monkeypatch, val_losses):
+        # evaluate_loss is called for the initial train loss, then once per validation
+        scripted = iter([5.0, *val_losses])
         monkeypatch.setattr(training, "evaluate_loss", lambda *args: next(scripted))
-        model_config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=16, n_heads=2,
-                                   head_dim=8, ffn_dim=32)
-        result = train(small_corpus(), TrainConfig(total_steps=6, validation_interval=2),
-                       model_config)
-        assert [row[2] for row in result.curve] == [3.0, 2.0, 2.5, 2.0]
+        total_steps = 2 * (len(val_losses) - 1)
+        return train(small_corpus(), TrainConfig(total_steps=total_steps, validation_interval=2),
+                     self.MODEL)
+
+    def test_argmin_of_synthetic_curve(self, monkeypatch):
+        result = self.train_on_scripted_curve(monkeypatch, [3.0, 2.0, 2.5])
+        assert [(row[0], row[2]) for row in result.curve] == [(0, 3.0), (2, 2.0), (4, 2.5)]
         assert (result.best_step, result.best_val_loss) == (2, 2.0)
 
+    def test_first_minimum_wins_ties(self, monkeypatch):
+        result = self.train_on_scripted_curve(monkeypatch, [2.0, 2.0])
+        assert (result.best_step, result.best_val_loss) == (0, 2.0)
+        initial = init_params(self.MODEL, TrainConfig().seed)
+        for name, tensor in result.params.items():
+            np.testing.assert_array_equal(tensor.data, initial.tensors[name].data)
+
+
+class TestTrainLoop:
     def test_loss_decreases_on_small_corpus(self, tmp_path):
         corpus = small_corpus(n_train=64, n_val=6, seed=1)
         model_config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=32, n_heads=2,
