@@ -112,8 +112,12 @@ def params_from_bytes(blob: bytes) -> ModelParams:
         raise CheckpointError(f"bad config record: {err}") from None
     n_tensors = read_u32()
     directory = []
-    for _ in range(n_tensors):
-        name = bytes(take(read_u32())).decode("utf-8")
+    for index in range(n_tensors):
+        try:
+            name = bytes(take(read_u32())).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(
+                f"tensor name in directory entry {index} is not UTF-8: {err}") from None
         dtype_code = read_u32()
         if dtype_code != DTYPE_FLOAT32:
             raise CheckpointError(f"unsupported dtype code {dtype_code}")

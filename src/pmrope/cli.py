@@ -76,8 +76,10 @@ def load_run_config(path=None) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config {path} is not UTF-8: {err}") from None
         except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from None
+            raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for key in raw:

@@ -9,6 +9,7 @@ five extra control tokens and the output head is linear -> GELU -> linear.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -21,12 +22,17 @@ from .positional import (
     DEFAULT_ROPE_BASE,
     ProgressSchedule,
     RopeParams,
+    RopeTable,
+    rope_table,
     rotate_heads,
 )
 
 N_SPECIAL_TOKENS = 5
 
 EMBED_INIT_STD = 0.02
+
+# one frequency bank per (head_dim, rope_base), not one per pass
+_rope_params = functools.lru_cache(maxsize=16)(RopeParams)
 
 
 @dataclass
@@ -52,7 +58,7 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} != n_heads {self.n_heads} * head_dim {self.head_dim}"
             )
-        RopeParams(self.head_dim, self.rope_base)  # even head_dim, finite rope_base > 1
+        _rope_params(self.head_dim, self.rope_base)  # even head_dim, finite rope_base > 1
         ProgressSchedule(1, self.progress_scale)  # finite progress_scale >= 0
 
     @property
@@ -194,12 +200,12 @@ def _split_heads(arr: np.ndarray, n_heads: int) -> np.ndarray:
     """[.., S, H*hd] -> [.., H, S, hd] (head axis ahead of sequence)."""
     dm = arr.shape[-1]
     heads = arr.reshape(arr.shape[:-1] + (n_heads, dm // n_heads))
-    return np.swapaxes(heads, -3, -2)
+    return heads.swapaxes(-3, -2)
 
 
 def _merge_heads(arr: np.ndarray) -> np.ndarray:
     """[.., H, S, hd] -> [.., S, H*hd]."""
-    merged = np.ascontiguousarray(np.swapaxes(arr, -3, -2))
+    merged = np.ascontiguousarray(arr.swapaxes(-3, -2))
     return merged.reshape(merged.shape[:-2] + (merged.shape[-2] * merged.shape[-1],))
 
 
@@ -220,7 +226,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
     qh = _split_heads(q.data, n_heads)
     kh = _split_heads(k.data, n_heads)
     vh = _split_heads(v.data, n_heads)
-    scores = qh @ np.swapaxes(kh, -1, -2) * inv
+    scores = qh @ kh.swapaxes(-1, -2) * inv
     if mask is not None:
         scores = scores + mask
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -229,11 +235,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tenso
 
     def vjp(g):
         gh = _split_heads(g, n_heads)
-        gv = _merge_heads(np.swapaxes(w, -1, -2) @ gh)
-        gw = gh @ np.swapaxes(vh, -1, -2)
+        gv = _merge_heads(w.swapaxes(-1, -2) @ gh)
+        gw = gh @ vh.swapaxes(-1, -2)
         gs = w * (gw - (w * gw).sum(axis=-1, keepdims=True))
         gq = _merge_heads(gs @ kh) * inv
-        gk = _merge_heads(np.swapaxes(gs, -1, -2) @ qh) * inv
+        gk = _merge_heads(gs.swapaxes(-1, -2) @ qh) * inv
         return gq, gk, gv
 
     return record_op(out, (q, k, v), vjp)
@@ -258,14 +264,16 @@ class DecoderCache:
     For each decoder layer it keeps the rotated self-attention keys and the
     values of every position run so far, and the cross-attention keys and
     values, projected (and progress-rotated) once on the first pass. The
-    self-attention entries grow with each pass; nothing is sized in advance.
-    Every row holds the same number of positions: cached streams are never
-    padded.
+    self-attention keys and values live in per-layer buffers that double in
+    length whenever a pass outgrows them, so a pass copies in only its own
+    positions; self_kv holds views of the filled part. Every row holds the
+    same number of positions: cached streams are never padded.
     """
 
     def __init__(self):
-        self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d]
+        self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d] views
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
+        self._buffers: dict = {}  # layer prefix -> (keys, values), [n, capacity, d]
 
     @property
     def length(self) -> int:
@@ -274,24 +282,34 @@ class DecoderCache:
 
     def extend(self, prefix: str, k: Tensor, v: Tensor):
         """Append a pass's keys and values to a layer's; returns all of them."""
-        if prefix in self.self_kv:
-            old_k, old_v = self.self_kv[prefix]
-            k = Tensor(np.concatenate((old_k.data, k.data), axis=1))
-            v = Tensor(np.concatenate((old_v.data, v.data), axis=1))
-        self.self_kv[prefix] = (k, v)
+        past = self.self_kv[prefix][0].data.shape[1] if prefix in self.self_kv else 0
+        end = past + k.data.shape[1]
+        buffers = self._buffers.get(prefix)
+        if buffers is None or buffers[0].shape[1] < end:
+            grown = tuple(np.empty((new.shape[0], max(end, 2 * past), new.shape[2]), new.dtype)
+                          for new in (k.data, v.data))
+            for buf, old in zip(grown, buffers or ()):
+                buf[:, :past] = old[:, :past]
+            buffers = self._buffers[prefix] = grown
+        for buf, new in zip(buffers, (k.data, v.data)):
+            buf[:, past:end] = new
+        self.self_kv[prefix] = k, v = Tensor(buffers[0][:, :end]), Tensor(buffers[1][:, :end])
         return k, v
 
     def select(self, rows) -> None:
         """Keep only the given rows (indices in the current row order)."""
-        for store in (self.self_kv, self.cross_kv):
-            for prefix, (k, v) in store.items():
-                store[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
+        for prefix, (k, v) in self.cross_kv.items():
+            self.cross_kv[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
+        length = self.length
+        for prefix, (keys, values) in self._buffers.items():
+            self._buffers[prefix] = keys, values = keys[rows], values[rows]
+            self.self_kv[prefix] = (Tensor(keys[:, :length]), Tensor(values[:, :length]))
 
 
-def _self_attention_block(x, prefix, positions, mask, params, config, rope, cache=None):
+def _self_attention_block(x, prefix, table, mask, params, config, cache=None):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
-    q = rotate_heads(nm.matmul(h, params[f"{prefix}.wq"]), positions, rope, config.n_heads)
-    k = rotate_heads(nm.matmul(h, params[f"{prefix}.wk"]), positions, rope, config.n_heads)
+    q = rotate_heads(nm.matmul(h, params[f"{prefix}.wq"]), table)
+    k = rotate_heads(nm.matmul(h, params[f"{prefix}.wk"]), table)
     v = nm.matmul(h, params[f"{prefix}.wv"])
     if cache is not None:
         k, v = cache.extend(prefix, k, v)
@@ -299,19 +317,19 @@ def _self_attention_block(x, prefix, positions, mask, params, config, rope, cach
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
 
-def _cross_attention_block(x, enc_states, prefix, dec_progress, enc_progress, mask,
-                           params, config, rope, cache=None):
+def _cross_attention_block(x, enc_states, prefix, dec_table, enc_table, mask,
+                           params, config, cache=None):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
     q = nm.matmul(h, params[f"{prefix}.wq"])
     if config.pm_rope_enabled:
-        q = rotate_heads(q, dec_progress, rope, config.n_heads)
+        q = rotate_heads(q, dec_table)
     if cache is not None and prefix in cache.cross_kv:
         k, v = cache.cross_kv[prefix]
     else:
         k = nm.matmul(enc_states, params[f"{prefix}.wk"])
         v = nm.matmul(enc_states, params[f"{prefix}.wv"])
         if config.pm_rope_enabled:
-            k = rotate_heads(k, enc_progress, rope, config.n_heads)
+            k = rotate_heads(k, enc_table)
         if cache is not None:
             cache.cross_kv[prefix] = (k, v)
     a = attention(q, k, v, config.n_heads, mask)
@@ -323,6 +341,16 @@ def _ffn_block(x, prefix, params):
     return nm.add(x, nm.matmul(nm.gelu(nm.matmul(h, params[f"{prefix}.w1"])), params[f"{prefix}.w2"]))
 
 
+def _self_table(n: int, start: int, stop: int, config: ModelConfig, dtype) -> RopeTable:
+    """Rotation table of the integer positions start..stop-1, which every one
+    of the n rows shares: built for one row and broadcast to the rest."""
+    table = rope_table(np.arange(start, stop, dtype=np.float64)[None],
+                       _rope_params(config.head_dim, config.rope_base), config.n_heads, dtype)
+    shape = (n,) + table.cos.shape[1:]
+    return table._replace(cos=np.broadcast_to(table.cos, shape),
+                          sin=np.broadcast_to(table.sin, shape))
+
+
 def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
                  config: ModelConfig) -> Tensor:
     """Bidirectional encoding of padded [n, T] text rows -> [n, T, d] states.
@@ -332,12 +360,11 @@ def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
     hidden from attention here and from cross-attention downstream.
     """
     n, T = texts.shape
-    rope = RopeParams(config.head_dim, config.rope_base)
-    positions = np.broadcast_to(np.arange(T, dtype=np.float64), (n, T))
     x = nm.embed(params["text_emb"], texts)
+    table = _self_table(n, 0, T, config, x.data.dtype)
     mask = None if text_real is None else key_padding_mask(text_real, x.data.dtype)
     for i in range(config.n_enc_layers):
-        x = _self_attention_block(x, f"enc.{i}.attn", positions, mask, params, config, rope)
+        x = _self_attention_block(x, f"enc.{i}.attn", table, mask, params, config)
         x = _ffn_block(x, f"enc.{i}.ffn", params)
     return nm.rms_norm(x, params["enc.norm"])
 
@@ -359,18 +386,26 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     """
     n, S = streams.shape
     past = 0 if cache is None else cache.length
-    rope = RopeParams(config.head_dim, config.rope_base)
+    rope = _rope_params(config.head_dim, config.rope_base)
 
     x = nm.embed(params["audio_emb"], streams)
+    dtype = x.data.dtype
     # a single new position may see every key, so it needs no causal mask
-    self_mask = causal_mask(past + S, x.data.dtype)[past:] if S > 1 else None
-    self_positions = np.broadcast_to(np.arange(past, past + S, dtype=np.float64), (n, S))
-    cross_mask = None if enc_real is None else key_padding_mask(enc_real, x.data.dtype)
+    self_mask = causal_mask(past + S, dtype)[past:] if S > 1 else None
+    # one rotation table per position array, shared by every layer
+    self_table = _self_table(n, past, past + S, config, dtype)
+    dec_table = enc_table = None
+    if config.pm_rope_enabled:
+        dec_table = rope_table(dec_progress, rope, config.n_heads, dtype)
+        if cache is None or not cache.cross_kv:  # cached cross keys are rotated already
+            enc_table = rope_table(enc_progress, rope, config.n_heads,
+                                   np.result_type(enc_states.data, dtype))
+    cross_mask = None if enc_real is None else key_padding_mask(enc_real, dtype)
     for i in range(config.n_dec_layers):
-        x = _self_attention_block(x, f"dec.{i}.self", self_positions, self_mask,
-                                  params, config, rope, cache)
-        x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_progress,
-                                   enc_progress, cross_mask, params, config, rope, cache)
+        x = _self_attention_block(x, f"dec.{i}.self", self_table, self_mask,
+                                  params, config, cache)
+        x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_table,
+                                   enc_table, cross_mask, params, config, cache)
         x = _ffn_block(x, f"dec.{i}.ffn", params)
     h = nm.rms_norm(x, params["dec.norm"])
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])

@@ -3,11 +3,13 @@
 Tensors wrap numpy arrays. Every differentiable operation records a backward
 closure on the innermost active Tape; a reverse sweep replays the records in
 exact reverse execution order, accumulating gradients additively wherever a
-tensor fans out into several consumers. The sweep consumes the tape: its
-records are released when backward returns, and tensors hold no reference to
-a tape, so a step's activations are freed by reference counting once the
-caller drops them. With no active tape the same operations run as plain numpy
-forward math, which is what inference uses.
+tensor fans out into several consumers. A tensor keeps the first gradient it
+receives as it is, and an intermediate's gradient is released as soon as its
+backward closure has read it. The sweep consumes the tape: its records are
+released when backward returns, and tensors hold no reference to a tape, so a
+step's activations are freed by reference counting once the caller drops
+them. With no active tape the same operations run as plain numpy forward
+math, which is what inference uses.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-_local = threading.local()
+class _ActiveTapes(threading.local):
+    """Each thread's stack of active tapes, innermost last (always present)."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
+_active = _ActiveTapes()
 
 
 class Tensor:
@@ -78,18 +80,20 @@ class Tape:
     state, so independent forward/backward runs may proceed concurrently on
     different threads. The tape is the only owner of what it recorded:
     ``backward`` takes the records off it, so a second ``backward`` on the
-    same tape raises ValueError.
+    same tape raises ValueError. After ``backward`` only tensors that no
+    recorded operation produced (the parameters and other inputs) hold a
+    gradient; every intermediate's, the loss's included, is None again.
     """
 
     def __init__(self):
         self._records = []  # (out, inputs, vjp); vjp(out_grad) -> per-input grads
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _active.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _tape_stack().pop()
+        _active.stack.pop()
         return False
 
     def backward(self, loss: Tensor) -> None:
@@ -101,14 +105,16 @@ class Tape:
         records, self._records = self._records, []
         loss.grad = np.ones_like(loss.data)
         for out, inputs, vjp in reversed(records):
-            if out.grad is None:
+            g, out.grad = out.grad, None  # an intermediate's gradient is spent once read
+            if g is None:
                 continue  # branch that never reached the loss
-            for tensor, grad in zip(inputs, vjp(out.grad)):
+            for tensor, grad in zip(inputs, vjp(g)):
                 if grad is None:
                     continue
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += grad
+                if tensor.grad is not None:
+                    tensor.grad += grad
+                else:  # kept as it is, unless it is g (add's) or a view of g (reshape's)
+                    tensor.grad = grad.copy() if np.may_share_memory(grad, g) else grad
 
 
 def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
@@ -118,7 +124,7 @@ def record_op(out_data: np.ndarray, inputs: tuple, vjp) -> Tensor:
     order. Used by the model and positional modules for their fused ops.
     """
     out = Tensor(out_data)
-    stack = _tape_stack()
+    stack = _active.stack
     if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         stack[-1]._records.append((out, tuple(inputs), vjp))
@@ -207,13 +213,14 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise ShapeError(f"gain shape {gain.data.shape} does not match last axis of {x.data.shape}")
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + NORM_EPS)
+    # np.add.reduce(..) / d is what .mean computes, without its Python wrapper
+    inv = 1.0 / np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d + NORM_EPS)
     normed = x.data * inv
     out = normed * gain.data
 
     def vjp(g):
         gu = g * gain.data
-        gx = inv * (gu - normed * (gu * normed).mean(axis=-1, keepdims=True))
+        gx = inv * (gu - normed * (np.add.reduce(gu * normed, axis=-1, keepdims=True) / d))
         ggain = (g * normed).reshape(-1, d).sum(axis=0)
         return gx, ggain
 

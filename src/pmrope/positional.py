@@ -6,12 +6,18 @@ j/(L-1) * scale, so the first element always sits at 0 and the last at the
 shared scale. Two sequences of different lengths thereby agree on where
 "start" and "end" are, which is what lets the decoder track how far through
 its target it has come.
+
+Every rotation, integer or fractional, goes through rotate_heads with a
+rope_table: the cos/sin table of one position array, built once and shared
+by every rotation at those positions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +44,9 @@ class RopeParams:
         if not 1.0 < self.base < math.inf:
             raise ValueError(f"rope_base must be finite and exceed 1, got {self.base}")
         t = np.arange(self.head_dim // 2, dtype=np.float64)
-        object.__setattr__(self, "frequencies", self.base ** (-2.0 * t / self.head_dim))
+        frequencies = self.base ** (-2.0 * t / self.head_dim)
+        frequencies.flags.writeable = False
+        object.__setattr__(self, "frequencies", frequencies)
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,9 @@ def apply_rope(v, position: float, params: RopeParams):
     arr = np.asarray(v)
     if arr.shape != (params.head_dim,):
         raise ShapeError(f"vector shape {arr.shape} does not match head_dim {params.head_dim}")
-    return rotate_heads(Tensor(arr[None, :]), np.array([position], dtype=np.float64),
-                        params, n_heads=1).data[0]
+    x = Tensor(arr[None, :])
+    table = rope_table(np.array([position], dtype=np.float64), params, 1, x.data.dtype)
+    return rotate_heads(x, table).data[0]
 
 
 def cross_attention_scores(q_rotated, k_rotated):
@@ -106,36 +115,61 @@ def cross_attention_scores(q_rotated, k_rotated):
     return scores
 
 
-def rotate_heads(x: Tensor, positions: np.ndarray, params: RopeParams, n_heads: int) -> Tensor:
-    """Tape-aware per-head rotation of projected vectors at given positions.
+class RopeTable(NamedTuple):
+    """What rotate_heads needs to rotate rows at one array of positions."""
 
-    x is [S, n_heads*head_dim] with positions [S], or batched
-    [n, S, n_heads*head_dim] with positions [n, S]. Angles are computed in
-    float64 and cast to the tensor dtype; backward is the inverse rotation.
+    cos: np.ndarray      # [*positions.shape, width]
+    sin: np.ndarray      # [*positions.shape, width], signed
+    partner: np.ndarray  # [width]: the other column of each column's pair
+
+
+def rope_table(positions, params: RopeParams, n_heads: int, dtype) -> RopeTable:
+    """Rotation table for [.., n_heads*head_dim] rows at positions.
+
+    RoFormer's table form (Su et al. 2021, arXiv:2104.09864, eq. 34): a row x
+    rotates to x*cos + pairswap(x)*sin, pairswap exchanging x[2i] and x[2i+1].
+    cos and sin are positions.shape + (n_heads*head_dim,) in dtype; each pair
+    holds (cos, cos) and (-sin, +sin) of position * its frequency, computed in
+    float64 and cast once. One table serves every rotation at these positions.
     """
-    dm = x.data.shape[-1]
-    hd = params.head_dim
-    if dm != n_heads * hd:
-        raise ShapeError(f"width {dm} != n_heads {n_heads} * head_dim {hd}")
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape != x.data.shape[:-1]:
-        raise ShapeError(f"positions shape {positions.shape} does not match rows {x.data.shape[:-1]}")
-    head_shape = x.data.shape[:-1] + (n_heads, hd)
-    ang = positions[..., None] * params.frequencies
-    c = np.cos(ang).astype(x.data.dtype)[..., None, :]  # broadcast over heads
-    s = np.sin(ang).astype(x.data.dtype)[..., None, :]
-    xh = x.data.reshape(head_shape)
-    xe, xo = xh[..., 0::2], xh[..., 1::2]
-    out = np.empty_like(xh)
-    out[..., 0::2] = xe * c - xo * s
-    out[..., 1::2] = xe * s + xo * c
+    ang = np.asarray(positions, dtype=np.float64)[..., None] * params.frequencies
+    pair, sign, partner = _columns(params.head_dim, n_heads)
+    cos = np.cos(ang).astype(dtype)[..., pair]
+    sin = np.sin(ang).astype(dtype)[..., pair]
+    sin *= sign  # exact: a sign flip
+    return RopeTable(cos, sin, partner)
+
+
+@functools.lru_cache(maxsize=16)
+def _columns(head_dim: int, n_heads: int) -> tuple:
+    """Per column of an n_heads*head_dim row: its pair's frequency index, the
+    sign its sin takes and its pair partner (read-only, shared by callers)."""
+    column = np.arange(n_heads * head_dim)
+    arrays = (column % head_dim // 2, np.where(column % 2, 1.0, -1.0), column ^ 1)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def rotate_heads(x: Tensor, table: RopeTable) -> Tensor:
+    """Tape-aware rotation of projected [.., n_heads*head_dim] rows by a rope_table.
+
+    x is [S, width] with a table for positions [S], or batched [n, S, width]
+    with one for positions [n, S]. The rotation is x*cos + pairswap(x)*sin and
+    backward is its inverse, g*cos - pairswap(g)*sin; both equal the pairwise
+    form (e*c - o*s, e*s + o*c) bit for bit. The result keeps x's dtype, which
+    must be the table's.
+    """
+    cos, sin, partner = table
+    if cos.shape != x.data.shape or cos.dtype != x.data.dtype:
+        raise ShapeError(f"rotation table {cos.shape} {cos.dtype} does not match "
+                         f"rows {x.data.shape} {x.data.dtype}")
+    out = x.data * cos
+    out += x.data.take(partner, axis=-1) * sin
 
     def vjp(g):
-        gh = g.reshape(head_shape)
-        ge, go = gh[..., 0::2], gh[..., 1::2]
-        gx = np.empty_like(gh)
-        gx[..., 0::2] = ge * c + go * s
-        gx[..., 1::2] = go * c - ge * s
-        return (gx.reshape(x.data.shape),)
+        gx = g * cos
+        gx -= g.take(partner, axis=-1) * sin
+        return (gx,)
 
-    return record_op(out.reshape(x.data.shape), (x,), vjp)
+    return record_op(out, (x,), vjp)

@@ -226,9 +226,11 @@ _RECORD_FIELDS = {"text": "tuple", "style_id": "int", "stretch": "int", "audio":
                   "duration_tokens": "int"}
 
 
-def _load_json(text: str, where: str):
+def _load_json(raw: bytes, where: str):
     try:
-        return json.loads(text)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{where}: not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{where}: not valid JSON: {err}") from None
 
@@ -236,10 +238,11 @@ def _load_json(text: str, where: str):
 def load_manifest(corpus_dir):
     """(CorpusConfig, audio_vocab) recorded alongside a saved corpus.
 
-    A missing or mistyped entry raises ValueError naming the file and the key.
+    A file that is not UTF-8 or not JSON raises ValueError naming it, and a
+    missing or mistyped entry one naming the file and the key.
     """
     path = Path(corpus_dir) / MANIFEST_FILE
-    manifest = _load_json(path.read_text(encoding="utf-8"), str(path))
+    manifest = _load_json(path.read_bytes(), str(path))
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     for key in ("config", "audio_vocab"):
@@ -271,8 +274,9 @@ def _utterance_from_record(rec, where: str) -> Utterance:
 def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus saved by save_corpus.
 
-    A malformed line raises ValueError naming the file, the line number and,
-    for a missing or mistyped field, the key.
+    A malformed line (not UTF-8, not JSON, or a record with a missing or
+    mistyped field) raises ValueError naming the file, the line number and,
+    for a field, the key.
     """
     config, audio_vocab = load_manifest(corpus_dir)
     corpus = Corpus(config=config, audio_vocab=audio_vocab,
@@ -280,7 +284,7 @@ def load_corpus(corpus_dir) -> Corpus:
     for split, filename in SPLIT_FILES.items():
         path = Path(corpus_dir) / filename
         utterances = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
             for number, line in enumerate(fh, start=1):
                 where = f"{path}, line {number}"
                 utterances.append(_utterance_from_record(_load_json(line, where), where))

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written a different way than the library:
 finite differences instead of the tape, recursion instead of iterative DP,
-complex multiplication instead of pairwise rotation, spelled-out arithmetic
-instead of shared helpers, a full decoder rescan per token instead of a
-cache, one row and rng.choice instead of a batched sampler.
+complex multiplication or the pairwise formulas instead of a rotation table,
+spelled-out arithmetic instead of shared helpers, a full decoder rescan per
+token instead of a cache, one row and rng.choice instead of a batched sampler.
 """
 
 import math
@@ -73,6 +73,26 @@ def rope_complex_reference(vector, position, frequencies):
     out[0::2] = rotated.real
     out[1::2] = rotated.imag
     return out
+
+
+def rotate_pairs_reference(x, g, positions, frequencies, n_heads):
+    """Rotation of [.., n_heads*head_dim] rows and its backward for upstream
+    gradient g, pair by pair: (e*c - o*s, e*s + o*c) forward and
+    (e*c + o*s, o*c - e*s) backward, with the angles taken in float64 and
+    cast to x's dtype."""
+    head_shape = x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)
+    ang = np.asarray(positions, dtype=np.float64)[..., None] * frequencies
+    c = np.cos(ang).astype(x.dtype)[..., None, :]
+    s = np.sin(ang).astype(x.dtype)[..., None, :]
+    results = []
+    for arr, sign in ((x, 1), (g, -1)):
+        h = arr.reshape(head_shape)
+        e, o = h[..., 0::2], h[..., 1::2]
+        out = np.empty_like(h)
+        out[..., 0::2] = e * c - o * s if sign > 0 else e * c + o * s
+        out[..., 1::2] = e * s + o * c if sign > 0 else o * c - e * s
+        results.append(out.reshape(arr.shape))
+    return tuple(results)
 
 
 def wilson_direct(successes, n, z):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrope import checkpoint
 from pmrope.checkpoint import (
@@ -13,7 +15,7 @@ from pmrope.checkpoint import (
     save_checkpoint,
 )
 from pmrope.cli import main
-from pmrope.model import ModelParams, decoder_forward, encode
+from pmrope.model import ModelConfig, ModelParams, decoder_forward, encode, init_params
 from pmrope.numerics import Tensor
 from pmrope.positional import ProgressSchedule
 
@@ -168,3 +170,47 @@ def test_duplicate_tensor_name_rejected(tiny_model):
     blob = checkpoint_bytes(ModelParams(tensors, config))
     with pytest.raises(CheckpointError, match="duplicate"):
         params_from_bytes(blob.replace(b"dec.0.self.wZ", b"dec.0.self.wk"))
+
+
+def test_non_utf8_tensor_name_rejected(tiny_model, tmp_path, capsys):
+    params, _ = tiny_model
+    blob = checkpoint_bytes(params)
+    assert blob.count(b"audio_emb") == 1  # the second directory entry
+    path = tmp_path / "model.pmrt"
+    path.write_bytes(blob.replace(b"audio_emb", b"audio\xe5emb"))
+    with pytest.raises(CheckpointError, match="directory entry 1 is not UTF-8"):
+        load_checkpoint(path)
+    code = main(["generate", "--checkpoint", str(path), "--text", "1,2", "--oracle-length", "3"])
+    assert code == 2
+    assert "directory entry 1 is not UTF-8" in capsys.readouterr().err
+
+
+_TINY = init_params(ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=8, n_heads=2,
+                                head_dim=4, ffn_dim=16, text_vocab=6, audio_vocab=8), seed=7)
+_BLOB = checkpoint_bytes(_TINY)
+#: magic, version, config record, tensor count and directory: all but the payloads
+_HEADER = len(_BLOB) - 4 * sum(t.data.size for _, t in _TINY.items())
+
+
+def _flipped(bits) -> bytes:
+    blob = bytearray(_BLOB)
+    for bit in bits:
+        blob[bit // 8] ^= 1 << bit % 8
+    return bytes(blob)
+
+
+def test_every_truncation_is_refused():
+    for end in range(len(_BLOB)):
+        with pytest.raises(CheckpointError):
+            params_from_bytes(_BLOB[:end])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(0, len(_BLOB) - 1).map(lambda end: _BLOB[:end]),
+    st.lists(st.integers(0, 8 * _HEADER - 1), min_size=1, max_size=2, unique=True).map(_flipped)))
+def test_damaged_header_loads_or_raises_checkpoint_error(blob):
+    try:
+        params_from_bytes(blob)
+    except CheckpointError:
+        pass

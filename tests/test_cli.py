@@ -1,9 +1,14 @@
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmrope import decoding
 from pmrope.cli import ConfigError, evaluate_model, load_run_config, main
@@ -33,6 +38,15 @@ def corpus_dir(tmp_path, run_config_path):
     out = tmp_path / "corpus"
     assert main(["corpus", "--config", run_config_path, "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def shared_corpus_dir(tmp_path_factory):
+    """A corpus the tests below only copy, never change."""
+    root = tmp_path_factory.mktemp("shared")
+    (root / "run.json").write_text(json.dumps(SMALL_RUN))
+    assert main(["corpus", "--config", str(root / "run.json"), "--out", str(root / "corpus")]) == 0
+    return root / "corpus"
 
 
 @pytest.fixture
@@ -83,6 +97,16 @@ class TestRunConfig:
             load_run_config(str(path))
         assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b'{"train": {"seed": 1}}\xff', b'\xfe{}',
+                                     b'{"corpus": {"seed": "\xc3("}}'])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "run.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_run_config(path)
+        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert f"config {path} is not UTF-8" in capsys.readouterr().err
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "run.json"
@@ -151,6 +175,36 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert filename in err and message in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["manifest.json", "train.jsonl", "val.jsonl", "test.jsonl"]),
+           st.floats(0.0, 1.0, exclude_max=True), st.integers(0x80, 0xFF))
+    def test_non_utf8_corpus_byte_is_named(self, shared_corpus_dir, filename, where, byte):
+        # the saved files are ASCII, so any byte from 0x80 up breaks the UTF-8
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus"
+            shutil.copytree(shared_corpus_dir, corpus)
+            data = bytearray((corpus / filename).read_bytes())
+            at = int(where * len(data))
+            data[at] = byte
+            (corpus / filename).write_bytes(bytes(data))
+            with pytest.raises(ValueError) as err:
+                load_corpus(corpus)
+        message = str(err.value)
+        assert filename in message and "not UTF-8" in message
+        if filename.endswith(".jsonl"):
+            line = data[:at].count(b"\n") + 1
+            assert f"line {line}:" in message
+
+    def test_non_utf8_corpus_exits_2(self, tmp_path, run_config_path, corpus_dir, capsys):
+        path = corpus_dir / "val.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"text", b"t\xe9xt")
+        path.write_bytes(b"\n".join(lines))
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "m.pmrt"), "--quiet"])
+        assert code == 2
+        assert "val.jsonl, line 3: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, values, field", [
         ("model", {"progress_scale": float("nan")}, "progress_scale"),

@@ -17,7 +17,7 @@ from pmrope.decoding import (
     generate_batch,
 )
 from pmrope.model import DecoderCache, SpecialTokens, decoder_batch, decoder_forward, encode
-from pmrope.numerics import Tensor
+from pmrope.numerics import ShapeError, Tensor
 from pmrope.positional import ProgressSchedule
 
 
@@ -270,6 +270,53 @@ class TestIncrementalDecoding:
                 first = dict(cache.cross_kv)
         assert len(first) == config.n_dec_layers
         assert all(cache.cross_kv[name] is kv for name, kv in first.items())
+
+    @pytest.mark.parametrize("model, tol", [("tiny_model", 1e-5), ("tiny_model_f64", 1e-10)],
+                             ids=["f32", "f64"])
+    def test_growing_buffers_match_the_rescan_across_a_select(self, request, model, tol):
+        params, config = request.getfixturevalue(model)
+        specials = SpecialTokens.for_vocab(config.audio_vocab)
+        rng = np.random.default_rng(17)
+        texts = [[1, 2, 3], [4, 0, 5], [2, 2, 1]]
+        targets = [9, 14, 11]
+        streams = [[specials.bos, int(p), specials.separator] +
+                   rng.integers(0, config.audio_vocab, size=16).tolist()
+                   for p in rng.integers(0, config.audio_vocab, size=3)]
+        encoded = [encode(text, params, config) for text in texts]
+        schedules = [(ProgressSchedule(3 + target, config.progress_scale),
+                      ProgressSchedule(3, config.progress_scale)) for target in targets]
+        progress = np.stack([dec.position_ids(19) for dec, _ in schedules])
+        states = Tensor(np.stack([enc.states.data for enc in encoded]))
+        enc_progress = np.stack([enc.position_ids() for _, enc in schedules])
+        rows = [0, 1, 2]  # the row each cache row decodes
+        cache = DecoderCache()
+        keys = None
+        growths = 0
+        for start, end in [(0, 3)] + [(j, j + 1) for j in range(3, 19)]:
+            if start == 9:  # drop the middle row: the cache copies what it keeps
+                cache.select([2, 0])
+                rows = [2, 0]
+                keys = cache.self_kv["dec.0.self"][0].data
+            logits = decoder_batch(np.array([streams[r][start:end] for r in rows]),
+                                   Tensor(states.data[rows]), None, progress[rows, start:end],
+                                   enc_progress[rows], params, config, cache).data
+            assert cache.length == end
+            for row, r in enumerate(rows):
+                full = decoder_forward(streams[r][:end], encoded[r], *schedules[r],
+                                       params, config).data
+                assert np.abs(logits[row] - full[start:end]).max() <= tol, (start, r)
+            new_keys = cache.self_kv["dec.0.self"][0].data
+            growths += keys is not None and not np.shares_memory(new_keys, keys)
+            keys = new_keys
+        # a 3-position prefill, then 16 single positions: capacity 3 -> 6 -> 12 -> 24
+        assert growths == 3
+
+    def test_progress_shape_must_match_the_stream(self, tiny_model):
+        params, config = tiny_model
+        states = Tensor(np.zeros((2, 3, config.d_model), dtype=np.float32))
+        with pytest.raises(ShapeError, match="does not match"):
+            decoder_batch(np.array([[8, 1], [8, 2]]), states, None, np.zeros((2, 3)),
+                          np.zeros((2, 3)), params, config)
 
     @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
     def test_generate_matches_the_rescan_oracle(self, request, model):

@@ -1,19 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import finite_diff_grad, max_rel_err
+from pmrope import model, training
 from pmrope import numerics as nm
 from pmrope.model import (
+    DecoderCache,
     ModelConfig,
     SpecialTokens,
     attention,
     causal_mask,
+    decoder_batch,
     decoder_forward,
     encode,
     init_params,
 )
+from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.numerics import Tape, Tensor
 from pmrope.positional import ProgressSchedule
 
@@ -236,3 +241,62 @@ class TestEndToEndGradients:
         for name, tensor in params.items():
             fd = finite_diff_grad(loss_fn, tensor)
             assert max_rel_err(tensor.grad, fd) <= 1e-4, name
+
+
+class TestRotationTables:
+    """A pass builds one rotation table per distinct position array and every
+    rotation of the pass reuses it."""
+
+    @staticmethod
+    def record_builds(monkeypatch) -> list:
+        """Position-array shapes of every table built from now on."""
+        shapes = []
+        build = model.rope_table
+
+        def counted(positions, *args):
+            shapes.append(np.shape(positions))
+            return build(positions, *args)
+
+        monkeypatch.setattr(model, "rope_table", counted)
+        return shapes
+
+    @pytest.mark.parametrize("pm_rope, want", [(True, [(1, 1), (2, 1)]), (False, [(1, 1)])],
+                             ids=["on", "off"])
+    def test_cached_decode_step(self, tiny_model, monkeypatch, pm_rope, want):
+        params, config = tiny_model
+        config = replace(config, pm_rope_enabled=pm_rope)
+        states = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)).astype(np.float32))
+        cache = DecoderCache()
+        decoder_batch(np.array([[8, 1, 9], [8, 2, 9]]), states, None, np.zeros((2, 3)),
+                      np.zeros((2, 3)), params, config, cache)
+        shapes = self.record_builds(monkeypatch)
+        decoder_batch(np.array([[3], [4]]), states, None, np.ones((2, 1)), np.zeros((2, 3)),
+                      params, config, cache)
+        assert shapes == want  # self positions, decoder progress; cross keys are cached
+
+    def test_training_forward_pass(self, monkeypatch):
+        config = ModelConfig(n_enc_layers=2, n_dec_layers=3, d_model=16, n_heads=2,
+                             head_dim=8, ffn_dim=32)
+        params = init_params(config, seed=0)
+        corpus = generate_corpus(CorpusConfig(n_train=6, n_val=2, n_test=2, seed=4),
+                                 config.audio_vocab)
+        specials = SpecialTokens.for_vocab(config.audio_vocab)
+        examples = [training.build_example(u, corpus.spec, specials) for u in corpus.train]
+        batch = training.make_batches(examples, 4096, seed=0, pad_id=specials.pad)[0]
+        passes = []
+        forward = training.decoder_batch
+
+        def counted_pass(streams, states, *rest):
+            passes.append((streams.shape, states.data.shape[1]))
+            return forward(streams, states, *rest)
+
+        monkeypatch.setattr(training, "decoder_batch", counted_pass)
+        shapes = self.record_builds(monkeypatch)
+        with nm.Tape() as tape:
+            loss, _ = training.batch_loss(batch, params, config, mask_prompt=True)
+        tape.backward(loss)
+        assert passes
+        want = []
+        for (n, S), T in passes:  # encoder self; decoder self, decoder and encoder progress
+            want += [(1, T), (1, S), (n, S), (n, T)]
+        assert shapes == want

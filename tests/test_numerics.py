@@ -275,6 +275,40 @@ class TestBackward:
             tape.backward(loss)
         assert np.array_equal(x.grad, first)
 
+    @pytest.mark.parametrize("twice", ["add_x_x", "add_a_reshape_a"])
+    def test_aliased_first_gradients_match_finite_differences(self, twice):
+        # add hands its output's gradient g to both inputs, and reshape a view
+        # of it; the inputs here are intermediates, which keep a first gradient
+        # as it is, and each later gets another gradient added in place
+        p = rand((2, 3), seed=24)
+        q = rand((2, 3), seed=25)
+        w1, w2 = np.random.default_rng(26).normal(0, 1, (2, 2, 3))
+
+        def forward():
+            a = nm.scale(p, 1.5)
+            c = nm.scale(q, -2.0)
+            u = nm.mul(a, Tensor(w1))  # a's other consumer, reached last in backward
+            y = nm.add(a, a) if twice == "add_x_x" else nm.add(a, nm.reshape(a, (2, 3)))
+            return nm.sum_all(nm.add(nm.mul(nm.add(y, c), Tensor(w2)), u))
+
+        def loss_fn():
+            return float(forward().data)
+
+        with Tape() as tape:
+            loss = forward()
+        tape.backward(loss)
+        assert max_rel_err(p.grad, finite_diff_grad(loss_fn, p)) <= 1e-6
+        assert max_rel_err(q.grad, finite_diff_grad(loss_fn, q)) <= 1e-6
+
+    def test_intermediate_gradients_are_released(self):
+        x = rand((2, 2), seed=27)
+        with Tape() as tape:
+            hidden = nm.mul(x, x)
+            loss = nm.sum_all(hidden)
+        tape.backward(loss)
+        assert hidden.grad is None and loss.grad is None
+        assert np.allclose(x.grad, 2.0 * x.data, atol=1e-12)
+
     def test_activations_freed_without_the_cycle_collector(self):
         x = rand((3, 4), seed=22)
         w = rand((4, 5), seed=23)

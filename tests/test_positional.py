@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, max_rel_err, rope_complex_reference
+from oracles import finite_diff_grad, max_rel_err, rope_complex_reference, rotate_pairs_reference
 from pmrope import numerics as nm
 from pmrope.numerics import ShapeError, Tape, Tensor
 from pmrope.positional import (
@@ -9,6 +9,7 @@ from pmrope.positional import (
     RopeParams,
     apply_rope,
     cross_attention_scores,
+    rope_table,
     rotate_heads,
 )
 
@@ -156,13 +157,17 @@ class TestCrossAttentionScores:
             cross_attention_scores(np.ones(8), np.ones(6))
 
 
+def table_for(positions, params, n_heads, dtype=np.float64):
+    return rope_table(np.asarray(positions, dtype=np.float64), params, n_heads, dtype)
+
+
 class TestRotateHeads:
     def test_rows_match_vector_rope_per_head(self):
         rng = np.random.default_rng(7)
         params = RopeParams(head_dim=4)
         x = rng.normal(0, 1, (5, 8))  # 2 heads of dim 4
         positions = rng.uniform(0, 2000, 5)
-        out = rotate_heads(Tensor(x), positions, params, n_heads=2).data
+        out = rotate_heads(Tensor(x), table_for(positions, params, 2)).data
         for i in range(5):
             for h in range(2):
                 expected = rope_complex_reference(x[i, 4 * h:4 * h + 4], positions[i],
@@ -171,23 +176,86 @@ class TestRotateHeads:
 
     def test_zero_positions_identity(self):
         x = np.random.default_rng(8).normal(0, 1, (4, 8)).astype(np.float32)
-        out = rotate_heads(Tensor(x), np.zeros(4), RopeParams(head_dim=4), n_heads=2)
+        out = rotate_heads(Tensor(x), table_for(np.zeros(4), RopeParams(head_dim=4), 2,
+                                                np.float32))
         assert np.all(out.data == x)
 
     def test_gradient_matches_finite_differences(self):
         params = RopeParams(head_dim=4)
         x = Tensor(np.random.default_rng(9).normal(0, 1, (3, 8)), requires_grad=True)
-        positions = np.array([0.0, 700.5, 2000.0])
+        table = table_for([0.0, 700.5, 2000.0], params, 2)
         w = np.random.default_rng(10).normal(0, 1, (3, 8))
 
         def loss_fn():
-            return float((rotate_heads(x, positions, params, 2).data * w).sum())
+            return float((rotate_heads(x, table).data * w).sum())
 
         with Tape() as tape:
-            loss = nm.sum_all(nm.mul(rotate_heads(x, positions, params, 2), Tensor(w)))
+            loss = nm.sum_all(nm.mul(rotate_heads(x, table), Tensor(w)))
         tape.backward(loss)
         assert max_rel_err(x.grad, finite_diff_grad(loss_fn, x)) <= 1e-4
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            rotate_heads(Tensor(np.ones((2, 6))), np.zeros(2), RopeParams(head_dim=4), n_heads=2)
+            rotate_heads(Tensor(np.ones((2, 6))), table_for(np.zeros(2), RopeParams(head_dim=4), 2))
+
+
+class TestRopeTable:
+    """One table shared by several rotations, as a forward pass shares it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_table_is_bitwise_a_fresh_table_and_the_pairwise_form(self, dtype):
+        rng = np.random.default_rng(11)
+        params = RopeParams(head_dim=8)
+        positions = rng.uniform(-50, 2500, (3, 5))
+        table = rope_table(positions, params, 4, dtype)
+        for seed in range(4):  # q, k, ... of one pass
+            x = rng.normal(0, 1, (3, 5, 32)).astype(dtype)
+            g = rng.normal(0, 1, (3, 5, 32)).astype(dtype)
+            fresh = rope_table(positions.copy(), params, 4, dtype)
+            want, want_grad = rotate_pairs_reference(x, g, positions, params.frequencies, 4)
+            for tab in (table, fresh):
+                xt = Tensor(x.copy(), requires_grad=True)
+                with Tape() as tape:
+                    loss = nm.sum_all(nm.mul(rotate_heads(xt, tab), Tensor(g)))
+                out = rotate_heads(Tensor(x), tab).data
+                tape.backward(loss)
+                assert out.dtype == dtype and np.array_equal(out, want)
+                assert np.array_equal(xt.grad, want_grad)
+
+    def test_shared_table_matches_the_complex_reference(self):
+        rng = np.random.default_rng(12)
+        params = RopeParams(head_dim=6)
+        positions = rng.uniform(0, 2000, 4)
+        table = rope_table(positions, params, 3, np.float64)
+        for _ in range(3):
+            x = rng.normal(0, 1, (4, 18))
+            out = rotate_heads(Tensor(x), table).data
+            for i in range(4):
+                for h in range(3):
+                    expected = rope_complex_reference(x[i, 6 * h:6 * h + 6], positions[i],
+                                                      params.frequencies)
+                    assert np.allclose(out[i, 6 * h:6 * h + 6], expected, atol=1e-12)
+
+    def test_gradient_through_a_shared_table(self):
+        params = RopeParams(head_dim=4)
+        rng = np.random.default_rng(13)
+        q = Tensor(rng.normal(0, 1, (2, 3, 8)), requires_grad=True)
+        k = Tensor(rng.normal(0, 1, (2, 3, 8)), requires_grad=True)
+        table = table_for(rng.uniform(0, 2000, (2, 3)), params, 2)
+
+        def loss_fn():
+            return float((rotate_heads(q, table).data * rotate_heads(k, table).data).sum())
+
+        with Tape() as tape:
+            loss = nm.sum_all(nm.mul(rotate_heads(q, table), rotate_heads(k, table)))
+        tape.backward(loss)
+        assert max_rel_err(q.grad, finite_diff_grad(loss_fn, q)) <= 1e-4
+        assert max_rel_err(k.grad, finite_diff_grad(loss_fn, k)) <= 1e-4
+
+    @pytest.mark.parametrize("positions_shape, dtype", [((2, 4), np.float32), ((3,), np.float32),
+                                                        ((2, 3), np.float64)],
+                             ids=["rows", "unbatched", "dtype"])
+    def test_table_must_match_the_rows(self, positions_shape, dtype):
+        table = rope_table(np.zeros(positions_shape), RopeParams(head_dim=4), 2, dtype)
+        with pytest.raises(ShapeError, match="does not match"):
+            rotate_heads(Tensor(np.ones((2, 3, 8), dtype=np.float32)), table)
