@@ -30,7 +30,7 @@ from .model import (
     init_params,
 )
 from .numerics import Tape, Tensor
-from .positional import ProgressSchedule, RopeParams, apply_rope, cross_attention_scores
+from .positional import ProgressSchedule, RopeParams, apply_rope, progress_ids
 from .synthcorpus import (
     Corpus,
     CorpusConfig,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint
@@ -29,7 +29,7 @@ from .metrics import (
     style_similarity,
     wilson_interval,
 )
-from .model import ModelConfig, config_from_record
+from .model import ModelConfig, SpecialTokens, config_from_record
 from .synthcorpus import (
     CorpusConfig,
     SymbolSpec,
@@ -152,7 +152,7 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
 
 def _write_reports(path, reports) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
+        json.dump([asdict(r) for r in reports], fh, indent=2)
         fh.write("\n")
 
 
@@ -205,9 +205,11 @@ def _load_model(checkpoint_path, pm_rope: str | None):
 def _prompt_from_args(args, config, text) -> list:
     if args.prompt_tokens is not None:
         prompt = _parse_tokens(args.prompt_tokens)
+        silence = SpecialTokens.for_vocab(config.audio_vocab).silence
         for token in prompt:
-            if not 0 <= token < config.audio_vocab_ext:
-                raise ConfigError(f"prompt token {token} outside [0, {config.audio_vocab_ext})")
+            if not (0 <= token < config.audio_vocab or token == silence):
+                raise ConfigError(f"prompt token {token} outside [0, {config.audio_vocab}) "
+                                  f"and not the silence id {silence}")
         return prompt
     if args.style is not None:
         if args.corpus is None:
@@ -231,12 +233,7 @@ def cmd_generate(args) -> int:
     sampler = SamplerConfig(top_k=args.top_k, top_p=args.top_p,
                             temperature=args.temperature, seed=args.seed)
     result = generate(text, prompt, target_len, params, config, sampler)
-    payload = json.dumps({
-        "tokens": result.tokens,
-        "stop_reason": result.stop_reason,
-        "generated_len": result.generated_len,
-        "target_len": result.target_len,
-    }, indent=2)
+    payload = json.dumps(asdict(result), indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
     else:
@@ -279,7 +276,7 @@ def cmd_ablate(args) -> int:
     for label, enabled in (("pm_on", True), ("pm_off", False)):
         reports, _, _ = evaluate_model(params, replace(config, pm_rope_enabled=enabled),
                                        corpus.spec, utterances, sampler)
-        blocks[label] = {r.metric: r.to_dict() for r in reports}
+        blocks[label] = {r.metric: asdict(r) for r in reports}
     deltas = {
         metric: blocks["pm_on"][metric]["mean"] - blocks["pm_off"][metric]["mean"]
         for metric in ("error_rate", "style_similarity", "duration_accuracy")

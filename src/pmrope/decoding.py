@@ -8,7 +8,9 @@ prefixes, all of one length, through the decoder in one prefill pass that
 fills a DecoderCache, then runs every unfinished row's newest token in one
 pass per step. Each row keeps its own schedule, length cap and random
 generator, so it samples exactly the tokens it would sample alone; a row
-leaves the batch when it stops. generate is a batch of one. The
+leaves the batch when it stops. Every row still in the batch has kept one
+token per step, so one step counter is the length of each, and the cache's
+length is the prefix plus that count. generate is a batch of one. The
 cross-attention progress of every position, including those past the target
 that over-generation reaches, follows from the step index and the target
 alone, so it is fixed before decoding starts. At each step one
@@ -34,10 +36,10 @@ from .model import (
     ModelParams,
     SpecialTokens,
     decoder_batch,
-    encode_texts,
+    encode_batch,
 )
 from .numerics import Tensor
-from .positional import ProgressSchedule
+from .positional import progress_ids
 
 LENGTH_CAP_FACTOR = 1.2
 # longest target generate_batch accepts, about 82 s at 50 Hz and some 40 times
@@ -138,7 +140,7 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
         if target_len > MAX_TARGET_LEN:
             raise ValueError(f"target_len must be <= MAX_TARGET_LEN = {MAX_TARGET_LEN}, "
                              f"got {target_len}")
-    enc_states, enc_real = encode_texts([text for text, _, _ in requests], params, config)
+    enc_states, enc_real = encode_batch([text for text, _, _ in requests], params, config)
     groups = {}
     for i, (_, prompt, _) in enumerate(requests):
         groups.setdefault(len(prompt), []).append(i)
@@ -163,23 +165,19 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
                        for _, prompt, _ in requests], dtype=np.int64)
     P = inputs.shape[1]
     caps = np.array([math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests])
-    enc_progress = np.stack([
-        ProgressSchedule(len(text), config.progress_scale).position_ids(T)
-        for text, _, _ in requests])
+    enc_progress = progress_ids([len(text) for text, _, _ in requests], T, config.progress_scale)
     # each row's progress ids out to the longest cap; past total_len they extrapolate
-    dec_progress = np.stack([
-        ProgressSchedule(P + target_len, config.progress_scale).position_ids(P + caps.max())
-        for _, _, target_len in requests])
+    dec_progress = progress_ids([P + target_len for _, _, target_len in requests],
+                                P + caps.max(), config.progress_scale)
     rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
     blocked = [specials.pad, specials.separator, specials.bos]
 
     progress = dec_progress[:, :P]
-    # live, row_len and row_cap hold one entry per batch row, as samplers, rngs
-    # and the cache do, and all are cut to the kept rows when rows stop;
-    # lengths and out hold one entry per request
-    live = np.arange(n)  # request index of each batch row
-    row_len = np.zeros(n, dtype=np.int64)  # tokens kept so far, eos excluded
-    row_cap = caps
+    # every live row has kept one token per step, so step counts the tokens of
+    # each; live holds the request index of each batch row and is cut, with
+    # samplers, rngs and the cache, to the kept rows when rows stop
+    live = np.arange(n)
+    step = 0
     lengths = np.zeros(n, dtype=np.int64)
     out = np.empty((n, caps.max()), dtype=np.int64)
     cache = DecoderCache()
@@ -192,15 +190,15 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
         rows[:, blocked] = -np.inf
         sampled = filter_and_sample(rows, samplers, rngs)
         going = sampled != specials.eos
-        out[live, row_len] = sampled  # an eos lands just past its row's length, never read
-        row_len += going
-        keep = np.flatnonzero(going & (row_len < row_cap))
+        out[live, step] = sampled  # an eos lands just past its row's length, never read
+        step += 1
+        keep = np.flatnonzero(going & (step < caps[live]))
         if keep.size < live.size:
-            lengths[live] = row_len
+            lengths[live] = step - 1 + going  # an eos is not kept
             if keep.size == 0:
                 break
             cache.select(keep)
-            live, row_len, row_cap = live[keep], row_len[keep], row_cap[keep]
+            live = live[keep]
             samplers = [samplers[j] for j in keep]
             rngs = [rngs[j] for j in keep]
             if enc_real is not None:

@@ -28,18 +28,6 @@ class EvalReport:
     resamples: int   # 0 for closed-form methods
     seed: int        # 0 for closed-form methods
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "mean": self.mean,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n": self.n,
-            "method": self.method,
-            "resamples": self.resamples,
-            "seed": self.seed,
-        }
-
 
 def error_rate(reference, hypothesis) -> float:
     """Levenshtein distance (unit costs) over the reference length.

@@ -264,25 +264,21 @@ class DecoderCache:
     For each decoder layer it keeps the rotated self-attention keys and the
     values of every position run so far, and the cross-attention keys and
     values, projected (and progress-rotated) once on the first pass. The
-    self-attention keys and values live in per-layer buffers that double in
-    length whenever a pass outgrows them, so a pass copies in only its own
-    positions; self_kv holds views of the filled part. Every row holds the
-    same number of positions: cached streams are never padded.
+    self-attention keys and values live only in per-layer buffers that
+    double in length whenever a pass outgrows them, so a pass copies in only
+    its own positions; their first length columns are filled. decoder_batch
+    advances length once per pass. Every row holds the same number of
+    positions: cached streams are never padded.
     """
 
     def __init__(self):
-        self.self_kv: dict = {}   # layer prefix -> (keys, values), [n, length, d] views
+        self.length = 0           # decoder positions already run through the cache
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
         self._buffers: dict = {}  # layer prefix -> (keys, values), [n, capacity, d]
 
-    @property
-    def length(self) -> int:
-        """Decoder positions already run through the cache."""
-        return next(iter(self.self_kv.values()))[0].data.shape[1] if self.self_kv else 0
-
     def extend(self, prefix: str, k: Tensor, v: Tensor):
         """Append a pass's keys and values to a layer's; returns all of them."""
-        past = self.self_kv[prefix][0].data.shape[1] if prefix in self.self_kv else 0
+        past = self.length
         end = past + k.data.shape[1]
         buffers = self._buffers.get(prefix)
         if buffers is None or buffers[0].shape[1] < end:
@@ -293,17 +289,14 @@ class DecoderCache:
             buffers = self._buffers[prefix] = grown
         for buf, new in zip(buffers, (k.data, v.data)):
             buf[:, past:end] = new
-        self.self_kv[prefix] = k, v = Tensor(buffers[0][:, :end]), Tensor(buffers[1][:, :end])
-        return k, v
+        return Tensor(buffers[0][:, :end]), Tensor(buffers[1][:, :end])
 
     def select(self, rows) -> None:
         """Keep only the given rows (indices in the current row order)."""
         for prefix, (k, v) in self.cross_kv.items():
             self.cross_kv[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
-        length = self.length
         for prefix, (keys, values) in self._buffers.items():
-            self._buffers[prefix] = keys, values = keys[rows], values[rows]
-            self.self_kv[prefix] = (Tensor(keys[:, :length]), Tensor(values[:, :length]))
+            self._buffers[prefix] = keys[rows], values[rows]
 
 
 def _self_attention_block(x, prefix, table, mask, params, config, cache=None):
@@ -351,22 +344,37 @@ def _self_table(n: int, start: int, stop: int, config: ModelConfig, dtype) -> Ro
                           sin=np.broadcast_to(table.sin, shape))
 
 
-def encode_batch(texts: np.ndarray, text_real, params: ModelParams,
-                 config: ModelConfig) -> Tensor:
-    """Bidirectional encoding of padded [n, T] text rows -> [n, T, d] states.
+def encode_batch(texts, params: ModelParams, config: ModelConfig):
+    """Bidirectional encoding of text token sequences, in one pass.
 
-    text_real is an [n, T] bool array marking non-pad positions (None when
-    every row is full width). Padded positions produce states, but they are
-    hidden from attention here and from cross-attention downstream.
+    The texts are right-padded to the longest; returns the [n, T, d] states
+    and the [n, T] bool mask of real positions (None when no text is padded).
+    Padded positions produce states, but they are hidden from attention here
+    and from cross-attention downstream.
     """
-    n, T = texts.shape
-    x = nm.embed(params["text_emb"], texts)
+    rows = []
+    for text in texts:
+        tokens = np.asarray(text, dtype=np.int64)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError("encoder input must be a nonempty token sequence")
+        if tokens.min() < 0 or tokens.max() >= config.text_vocab:
+            raise ValueError(f"text token outside [0, {config.text_vocab})")
+        rows.append(tokens)
+    n, T = len(rows), max(tokens.size for tokens in rows)
+    padded = np.zeros((n, T), dtype=np.int64)
+    real = np.zeros((n, T), dtype=bool)
+    for i, tokens in enumerate(rows):
+        padded[i, : tokens.size] = tokens
+        real[i, : tokens.size] = True
+    if real.all():
+        real = None
+    x = nm.embed(params["text_emb"], padded)
     table = _self_table(n, 0, T, config, x.data.dtype)
-    mask = None if text_real is None else key_padding_mask(text_real, x.data.dtype)
+    mask = None if real is None else key_padding_mask(real, x.data.dtype)
     for i in range(config.n_enc_layers):
         x = _self_attention_block(x, f"enc.{i}.attn", table, mask, params, config)
         x = _ffn_block(x, f"enc.{i}.ffn", params)
-    return nm.rms_norm(x, params["enc.norm"])
+    return nm.rms_norm(x, params["enc.norm"]), real
 
 
 def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
@@ -380,8 +388,9 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
 
     With a DecoderCache the S stream positions continue every row's stream:
     they sit at integer positions cache.length onwards, attend to the cached
-    keys as well as to each other, and are appended to the cache, so the
-    streams run through a cache must hold no pads. Cross-attention keys and
+    keys as well as to each other, and are appended to the cache, whose
+    length the pass then advances by S; so the streams run through a cache
+    must hold no pads. Cross-attention keys and
     values come from the cache after its first pass.
     """
     n, S = streams.shape
@@ -407,38 +416,15 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
         x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_table,
                                    enc_table, cross_mask, params, config, cache)
         x = _ffn_block(x, f"dec.{i}.ffn", params)
+    if cache is not None:
+        cache.length += S
     h = nm.rms_norm(x, params["dec.norm"])
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])
 
 
-def encode_texts(texts, params: ModelParams, config: ModelConfig):
-    """Bidirectional encoding of text token sequences in one encode_batch call.
-
-    The texts are right-padded to the longest; returns the [n, T, d] states
-    and the [n, T] bool mask of real positions (None when no text is padded).
-    """
-    rows = []
-    for text in texts:
-        tokens = np.asarray(text, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError("encoder input must be a nonempty token sequence")
-        if tokens.min() < 0 or tokens.max() >= config.text_vocab:
-            raise ValueError(f"text token outside [0, {config.text_vocab})")
-        rows.append(tokens)
-    T = max(tokens.size for tokens in rows)
-    padded = np.zeros((len(rows), T), dtype=np.int64)
-    real = np.zeros((len(rows), T), dtype=bool)
-    for i, tokens in enumerate(rows):
-        padded[i, : tokens.size] = tokens
-        real[i, : tokens.size] = True
-    if real.all():
-        real = None
-    return encode_batch(padded, real, params, config), real
-
-
 def encode(text_tokens, params: ModelParams, config: ModelConfig) -> EncoderOutput:
     """Bidirectional encoding of a text token sequence."""
-    states, _ = encode_texts([text_tokens], params, config)
+    states, _ = encode_batch([text_tokens], params, config)
     T = states.data.shape[1]
     return EncoderOutput(states=nm.reshape(states, (T, config.d_model)), length=T)
 

@@ -68,16 +68,23 @@ class ProgressSchedule:
             raise ValueError(f"progress_scale must be finite and nonnegative, got {self.scale}")
 
     def position_ids(self, n: int | None = None) -> np.ndarray:
-        """Progress IDs for indices 0..n-1 (default n = total_len).
+        """Progress IDs for indices 0..n-1 (default n = total_len): the one
+        row of progress_ids for this schedule."""
+        return progress_ids([self.total_len], self.total_len if n is None else n, self.scale)[0]
 
-        Past total_len the affine map extrapolates beyond the scale; the
-        decoder needs this when generation overshoots the target length.
-        """
-        if n is None:
-            n = self.total_len
-        if self.total_len == 1:
-            return np.zeros(n, dtype=np.float64)  # a single token counts as "start"
-        return np.arange(n, dtype=np.float64) / (self.total_len - 1) * self.scale
+
+def progress_ids(total_lens, n: int, scale: float) -> np.ndarray:
+    """[rows, n] progress IDs, one row per total length L in total_lens:
+    index j maps to j/(L-1) * scale, and every index to 0 when L == 1 (a
+    single token counts as "start").
+
+    Past L the affine map extrapolates beyond the scale; the decoder needs
+    this when generation overshoots the target length.
+    """
+    lens = np.asarray(total_lens, dtype=np.int64)[:, None]
+    ids = np.arange(n, dtype=np.float64) / np.maximum(lens - 1, 1) * scale
+    ids[lens[:, 0] == 1] = 0.0
+    return ids
 
 
 def apply_rope(v, position: float, params: RopeParams):
@@ -92,27 +99,6 @@ def apply_rope(v, position: float, params: RopeParams):
     x = Tensor(arr[None, :])
     table = rope_table(np.array([position], dtype=np.float64), params, 1, x.data.dtype)
     return rotate_heads(x, table).data[0]
-
-
-def cross_attention_scores(q_rotated, k_rotated):
-    """Scaled dot-product attention logits between (rotated) queries and keys.
-
-    Accepts single vectors or [n, head_dim] stacks; with rotation disabled
-    this is exactly standard cross-attention. Computed in float64.
-    """
-    qa = np.asarray(q_rotated, dtype=np.float64)
-    ka = np.asarray(k_rotated, dtype=np.float64)
-    if qa.shape[-1] != ka.shape[-1]:
-        raise ShapeError(f"head dims differ: {qa.shape} vs {ka.shape}")
-    d = qa.shape[-1]
-    scores = np.atleast_2d(qa) @ np.atleast_2d(ka).T / np.sqrt(d)
-    if qa.ndim == 1 and ka.ndim == 1:
-        return float(scores[0, 0])
-    if qa.ndim == 1:
-        return scores[0]
-    if ka.ndim == 1:
-        return scores[:, 0]
-    return scores
 
 
 class RopeTable(NamedTuple):

@@ -197,24 +197,13 @@ SPLIT_FILES = {"train": "train.jsonl", "val": "val.jsonl", "test": "test.jsonl"}
 MANIFEST_FILE = "manifest.json"
 
 
-def _utterance_line(utt: Utterance) -> str:
-    record = {
-        "text": utt.text,
-        "style_id": utt.style_id,
-        "stretch": utt.stretch,
-        "audio": utt.audio,
-        "duration_tokens": utt.duration_tokens,
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
-
-
 def save_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for split, filename in SPLIT_FILES.items():
         with open(out / filename, "w", encoding="utf-8") as fh:
-            for utt in getattr(corpus, split):
-                fh.write(_utterance_line(utt))
+            for utt in getattr(corpus, split):  # vars: asdict would copy every audio list
+                fh.write(json.dumps(vars(utt), separators=(",", ":")) + "\n")
     manifest = {"audio_vocab": corpus.audio_vocab, "config": asdict(corpus.config)}
     with open(out / MANIFEST_FILE, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -259,7 +248,7 @@ def load_manifest(corpus_dir):
     return config, manifest["audio_vocab"]
 
 
-def _utterance_from_record(rec, where: str) -> Utterance:
+def _utterance_from_record(rec, where: str, spec: SymbolSpec, audio_vocab: int) -> Utterance:
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: record must be a JSON object")
     for key, kind in _RECORD_FIELDS.items():
@@ -268,15 +257,30 @@ def _utterance_from_record(rec, where: str) -> Utterance:
         check, wanted = _FIELD_CHECKS[kind]
         if not check(rec[key]):
             raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
+    silence = SpecialTokens.for_vocab(audio_vocab).silence
+    ranges = (
+        ("text", rec["text"] and all(0 <= t < spec.n_symbols for t in rec["text"]),
+         f"nonempty, with ids in [0, {spec.n_symbols})"),
+        ("audio", all(0 <= t < audio_vocab or t == silence for t in rec["audio"]),
+         f"ids in [0, {audio_vocab}) or the silence id {silence}"),
+        ("style_id", 0 <= rec["style_id"] < spec.n_styles, f"in [0, {spec.n_styles})"),
+        ("stretch", rec["stretch"] >= 1, ">= 1"),
+        ("duration_tokens", rec["duration_tokens"] >= 1, ">= 1"),
+    )
+    for key, ok, wanted in ranges:
+        if not ok:
+            raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
     return Utterance(**{key: rec[key] for key in _RECORD_FIELDS})
 
 
 def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus saved by save_corpus.
 
-    A malformed line (not UTF-8, not JSON, or a record with a missing or
-    mistyped field) raises ValueError naming the file, the line number and,
-    for a field, the key.
+    A malformed line (not UTF-8, not JSON, or a record with a missing,
+    mistyped or out-of-range field) raises ValueError naming the file, the
+    line number and, for a field, the key. The manifest sets the ranges:
+    text ids below n_symbols, audio ids below audio_vocab or the silence id,
+    style_id below n_styles, stretch and duration_tokens at least 1.
     """
     config, audio_vocab = load_manifest(corpus_dir)
     corpus = Corpus(config=config, audio_vocab=audio_vocab,
@@ -287,6 +291,7 @@ def load_corpus(corpus_dir) -> Corpus:
         with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
             for number, line in enumerate(fh, start=1):
                 where = f"{path}, line {number}"
-                utterances.append(_utterance_from_record(_load_json(line, where), where))
+                utterances.append(_utterance_from_record(_load_json(line, where), where,
+                                                         corpus.spec, audio_vocab))
         setattr(corpus, split, utterances)
     return corpus

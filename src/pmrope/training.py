@@ -21,11 +21,11 @@ from .model import (
     ModelParams,
     SpecialTokens,
     decoder_batch,
-    encode_texts,
+    encode_batch,
     init_params,
 )
 from .numerics import Tape
-from .positional import ProgressSchedule
+from .positional import progress_ids
 from .synthcorpus import Corpus, prompt_for
 
 ADAM_BETA1 = 0.9
@@ -201,60 +201,43 @@ def _finish_batch(examples: list, pad_id: int) -> Batch:
     return Batch(examples=examples, tokens=tokens, lengths=lengths)
 
 
-def _batch_arrays(examples, config: ModelConfig, pad_id: int, mask_prompt: bool):
-    """Padded decoder input/target/mask/progress arrays for one fused forward pass."""
-    n = len(examples)
-    S = max(len(ex.stream) for ex in examples) - 1  # teacher forcing drops the last token
-    T = max(len(ex.text) for ex in examples)
-    inputs = np.full((n, S), pad_id, dtype=np.int64)
-    targets = np.full((n, S), pad_id, dtype=np.int64)
-    loss_mask = np.zeros((n, S), dtype=bool)
-    dec_progress = np.zeros((n, S), dtype=np.float64)
-    enc_progress = np.zeros((n, T), dtype=np.float64)
-    for i, ex in enumerate(examples):
-        length = len(ex.stream) - 1
-        inputs[i, :length] = ex.stream[:-1]
-        targets[i, :length] = ex.stream[1:]
-        loss_mask[i, :length] = True
-        if mask_prompt:
-            loss_mask[i, : ex.prompt_len + 1] = False
-        dec_progress[i] = ProgressSchedule(length, config.progress_scale).position_ids(S)
-        enc_progress[i] = ProgressSchedule(len(ex.text), config.progress_scale).position_ids(T)
-    return inputs, targets, loss_mask, dec_progress, enc_progress
-
-
-# quadratic attention cost makes mixed-length padding expensive; examples are
-# regrouped by similar stream length before the fused passes
+# quadratic attention cost makes mixed-length padding expensive; a batch's rows
+# are regrouped by similar stream length before the fused passes
 _GROUP_WASTE = 1.25
 
 
-def _length_groups(examples):
-    order = sorted(range(len(examples)), key=lambda i: (-len(examples[i].stream), i))
+def _length_groups(lengths) -> list:
+    """Row indices of a batch, longest stream first, cut into groups whose
+    longest stream is at most _GROUP_WASTE times their shortest."""
     groups = []
-    current = []
-    group_max = None
-    for idx in order:
-        length = len(examples[idx].stream)
-        if current and group_max > _GROUP_WASTE * length:
-            groups.append(current)
-            current, group_max = [], None
-        if not current:
-            group_max = length
-        current.append(examples[idx])
-    if current:
-        groups.append(current)
+    for row in sorted(range(len(lengths)), key=lambda i: (-lengths[i], i)):
+        if groups and lengths[groups[-1][0]] <= _GROUP_WASTE * lengths[row]:
+            groups[-1].append(row)
+        else:
+            groups.append([row])
     return groups
 
 
-def _fused_loss(examples, params: ModelParams, config: ModelConfig, mask_prompt: bool):
-    specials = SpecialTokens.for_vocab(config.audio_vocab)
-    inputs, targets, loss_mask, dec_prog, enc_prog = _batch_arrays(
-        examples, config, specials.pad, mask_prompt)
-    enc_states, text_real = encode_texts([ex.text for ex in examples], params, config)
-    logits = decoder_batch(inputs, enc_states, text_real, dec_prog, enc_prog, params, config)
-    n, S = inputs.shape
-    flat = nm.reshape(logits, (n * S, config.audio_vocab_ext))
-    loss = nm.cross_entropy(flat, targets.reshape(-1), loss_mask.reshape(-1))
+def _fused_loss(batch: Batch, rows, params: ModelParams, config: ModelConfig,
+                mask_prompt: bool):
+    """Mean NLL of some rows of a batch in one pass, sliced from the batch's
+    padded streams, and the number of positions in the mean."""
+    examples = [batch.examples[i] for i in rows]
+    lengths = batch.lengths[rows] - 1  # teacher forcing drops the last token
+    S = int(lengths.max())
+    tokens = batch.tokens[rows, : S + 1]
+    position = np.arange(S)
+    loss_mask = position < lengths[:, None]
+    if mask_prompt:  # nor the predictions of the prompt tokens and the separator
+        loss_mask &= position > np.array([ex.prompt_len for ex in examples])[:, None]
+    enc_states, text_real = encode_batch([ex.text for ex in examples], params, config)
+    dec_prog = progress_ids(lengths, S, config.progress_scale)
+    enc_prog = progress_ids([len(ex.text) for ex in examples], enc_states.data.shape[1],
+                            config.progress_scale)
+    logits = decoder_batch(tokens[:, :-1], enc_states, text_real, dec_prog, enc_prog,
+                           params, config)
+    flat = nm.reshape(logits, (loss_mask.size, config.audio_vocab_ext))
+    loss = nm.cross_entropy(flat, tokens[:, 1:].reshape(-1), loss_mask.reshape(-1))
     return loss, int(loss_mask.sum())
 
 
@@ -267,8 +250,8 @@ def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
     """
     parts = []
     total = 0
-    for group in _length_groups(batch.examples):
-        loss, count = _fused_loss(group, params, config, mask_prompt)
+    for rows in _length_groups(batch.lengths.tolist()):
+        loss, count = _fused_loss(batch, rows, params, config, mask_prompt)
         parts.append((loss, count))
         total += count
     combined = nm.scale(parts[0][0], parts[0][1] / total)

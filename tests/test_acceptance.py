@@ -23,7 +23,7 @@ from pmrope.duration import estimate_from_rate, estimate_from_reference, target_
 from pmrope.metrics import bootstrap_ci, error_rate, pearson_r, wilson_interval
 from pmrope.model import ModelConfig, decoder_forward, encode, init_params
 from pmrope.numerics import Tape
-from pmrope.positional import ProgressSchedule, RopeParams, apply_rope, cross_attention_scores
+from pmrope.positional import ProgressSchedule, RopeParams, apply_rope
 from pmrope.synthcorpus import CorpusConfig, generate_corpus, save_corpus
 from pmrope.training import TrainConfig, clip_gradients, lr_at, train
 
@@ -91,10 +91,10 @@ def test_criterion_2_shift_invariance():
             k = rng.normal(0, 1, 16).astype(dtype)
             a, b = rng.uniform(0, 2000, 2)
             c = rng.uniform(-1000, 1000)
-            base = cross_attention_scores(apply_rope(q, a, params), apply_rope(k, b, params))
-            moved = cross_attention_scores(apply_rope(q, a + c, params),
-                                           apply_rope(k, b + c, params))
-            worst = max(worst, abs(base - moved))
+            # attention logits q.k / sqrt(head_dim), taken in float64
+            qa, qc = (apply_rope(q, p, params).astype(np.float64) for p in (a, a + c))
+            kb, kc = (apply_rope(k, p, params).astype(np.float64) for p in (b, b + c))
+            worst = max(worst, abs(qa @ kb / math.sqrt(16) - qc @ kc / math.sqrt(16)))
         results[np.dtype(dtype).name] = (worst, tolerance)
     passed = all(worst <= tol for worst, tol in results.values())
     detail = ", ".join(f"{name} {worst:.2e} vs {tol:.0e}" for name, (worst, tol) in results.items())

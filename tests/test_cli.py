@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from pmrope import decoding
 from pmrope.cli import ConfigError, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
-from pmrope.model import ModelConfig, init_params
+from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.synthcorpus import load_corpus
+from pmrope.training import build_example
 
 SMALL_RUN = {
     "model": {"n_enc_layers": 1, "n_dec_layers": 1, "d_model": 16, "n_heads": 2,
@@ -159,8 +160,18 @@ class TestTrainCommand:
         ("val.jsonl", lambda r: {k: v for k, v in r.items() if k != "style_id"},
          "line 2: missing key 'style_id'"),
         ("val.jsonl", lambda r: dict(r, audio=None), "line 2: key 'audio' must be a list"),
+        ("val.jsonl", lambda r: dict(r, text=[]), "line 2: key 'text' must be nonempty"),
+        ("val.jsonl", lambda r: dict(r, text=[0, 16]),
+         "line 2: key 'text' must be nonempty, with ids in [0, 16)"),
+        ("val.jsonl", lambda r: dict(r, audio=r["audio"] + [200]),
+         "line 2: key 'audio' must be ids in [0, 64) or the silence id 67"),
+        ("val.jsonl", lambda r: dict(r, style_id=9), "line 2: key 'style_id' must be in [0, 4)"),
+        ("val.jsonl", lambda r: dict(r, stretch=0), "line 2: key 'stretch' must be >= 1"),
+        ("val.jsonl", lambda r: dict(r, duration_tokens=0),
+         "line 2: key 'duration_tokens' must be >= 1"),
     ], ids=["manifest_without_config", "null_audio_vocab", "record_without_style_id",
-            "null_audio"])
+            "null_audio", "empty_text", "text_id_out_of_range", "audio_id_out_of_range",
+            "style_id_out_of_range", "zero_stretch", "zero_duration_tokens"])
     def test_malformed_corpus_exits_2(self, tmp_path, run_config_path, corpus_dir, capsys,
                                       filename, edit, message):
         path = corpus_dir / filename
@@ -195,6 +206,34 @@ class TestTrainCommand:
         if filename.endswith(".jsonl"):
             line = data[:at].count(b"\n") + 1
             assert f"line {line}:" in message
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["train.jsonl", "val.jsonl", "test.jsonl"]), st.data())
+    def test_bit_flip_never_loads_an_out_of_range_id(self, shared_corpus_dir, filename, draw):
+        # a flipped record either fails to load, naming its file, or builds
+        # training examples whose ids all lie inside the model's vocabularies;
+        # the flips drawn hit the digits, where most of them still parse
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus"
+            shutil.copytree(shared_corpus_dir, corpus)
+            data = bytearray((corpus / filename).read_bytes())
+            at = draw.draw(st.sampled_from([i for i, byte in enumerate(data)
+                                            if chr(byte).isdigit()]))
+            data[at] ^= 1 << draw.draw(st.integers(0, 7))
+            (corpus / filename).write_bytes(bytes(data))
+            try:
+                loaded = load_corpus(corpus)
+            except ValueError as err:
+                assert filename in str(err)
+                return
+        config = ModelConfig(**SMALL_RUN["model"])
+        specials = SpecialTokens.for_vocab(config.audio_vocab)
+        for utt in loaded.train + loaded.val + loaded.test:
+            example = build_example(utt, loaded.spec, specials)
+            assert example.text.size and 0 <= example.text.min()
+            assert example.text.max() < config.text_vocab
+            assert 0 <= example.stream.min() and example.stream.max() < config.audio_vocab_ext
+            assert utt.stretch >= 1 and utt.duration_tokens >= 1
 
     def test_non_utf8_corpus_exits_2(self, tmp_path, run_config_path, corpus_dir, capsys):
         path = corpus_dir / "val.jsonl"
@@ -294,7 +333,7 @@ class TestGenerateCommand:
         def no_decoding(*args):
             raise AssertionError("decoding started")
 
-        monkeypatch.setattr(decoding, "encode_texts", no_decoding)
+        monkeypatch.setattr(decoding, "encode_batch", no_decoding)
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1,2,3",
                      flag, value])
         assert code == 2
@@ -304,6 +343,18 @@ class TestGenerateCommand:
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
                      "--prompt-tokens", "999", "--oracle-length", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("token", [64, 65, 66, 68], ids=["bos", "eos", "pad", "separator"])
+    def test_control_prompt_token_exits_2(self, checkpoint, capsys, token):
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--prompt-tokens", f"3,{token}", "--oracle-length", "4"])
+        assert code == 2
+        assert f"prompt token {token} outside [0, 64) and not the silence id 67" in \
+            capsys.readouterr().err
+
+    def test_silence_prompt_token_accepted(self, checkpoint):
+        assert main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--prompt-tokens", "3,67", "--oracle-length", "4"]) == 0
 
     def test_style_without_corpus_exits_2(self, checkpoint, capsys):
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",

@@ -257,9 +257,10 @@ class TestIncrementalDecoding:
             full = decoder_forward(stream[:end], enc_out, schedule_dec, schedule_enc,
                                    params, config)
             assert np.abs(logits - full.data[start:end]).max() <= tol, (start, end)
-            assert cache.length == end
-        for k, v in cache.self_kv.values():
-            assert k.shape == v.shape == (1, len(stream), config.d_model)
+            assert cache.length == end  # advanced once per pass, by the pass's width
+        for keys, values in cache._buffers.values():
+            assert keys.shape == values.shape
+            assert keys.shape[0] == 1 and keys.shape[1] >= len(stream) == cache.length
 
     def test_cross_attention_projected_once(self, tiny_model):
         params, config = tiny_model
@@ -296,7 +297,7 @@ class TestIncrementalDecoding:
             if start == 9:  # drop the middle row: the cache copies what it keeps
                 cache.select([2, 0])
                 rows = [2, 0]
-                keys = cache.self_kv["dec.0.self"][0].data
+                keys = cache._buffers["dec.0.self"][0]
             logits = decoder_batch(np.array([streams[r][start:end] for r in rows]),
                                    Tensor(states.data[rows]), None, progress[rows, start:end],
                                    enc_progress[rows], params, config, cache).data
@@ -305,7 +306,7 @@ class TestIncrementalDecoding:
                 full = decoder_forward(streams[r][:end], encoded[r], *schedules[r],
                                        params, config).data
                 assert np.abs(logits[row] - full[start:end]).max() <= tol, (start, r)
-            new_keys = cache.self_kv["dec.0.self"][0].data
+            new_keys = cache._buffers["dec.0.self"][0]
             growths += keys is not None and not np.shares_memory(new_keys, keys)
             keys = new_keys
         # a 3-position prefill, then 16 single positions: capacity 3 -> 6 -> 12 -> 24
@@ -424,15 +425,22 @@ class TestLockstepDecoding:
         cache = DecoderCache()
         decoder_batch(streams, states, None, np.zeros((2, 3)), np.zeros((2, 3)), params,
                       config, cache)
-        before = {name: (k.data, v.data) for store in (cache.self_kv, cache.cross_kv)
-                  for name, (k, v) in store.items()}
+
+        def stored(cache):  # the filled part of every layer's keys and values
+            kv = {name: (k[:, :cache.length], v[:, :cache.length])
+                  for name, (k, v) in cache._buffers.items()}
+            kv.update((name, (k.data, v.data)) for name, (k, v) in cache.cross_kv.items())
+            return kv
+
+        before = stored(cache)
+        assert len(before) == 2 * config.n_dec_layers
         cache.select([1, 0])
         cache.select([1])
-        for store in (cache.self_kv, cache.cross_kv):
-            for name, (k, v) in store.items():
-                assert k.shape == v.shape == (1, 3, config.d_model)
-                assert (k.data[0] == before[name][0][0]).all()
-                assert (v.data[0] == before[name][1][0]).all()
+        assert cache.length == 3
+        for name, (k, v) in stored(cache).items():
+            assert k.shape == v.shape == (1, 3, config.d_model)
+            assert (k[0] == before[name][0][0]).all()
+            assert (v[0] == before[name][1][0]).all()
 
     def test_sampler_count_must_match(self, tiny_model):
         params, config = tiny_model

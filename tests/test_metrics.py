@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -225,6 +226,6 @@ class TestPearson:
 class TestEvalReport:
     def test_json_dict_has_exactly_the_schema_fields(self):
         report = EvalReport("m", 0.5, 0.4, 0.6, 10, "bootstrap", 100, 42)
-        assert set(report.to_dict()) == {
+        assert set(asdict(report)) == {
             "metric", "mean", "ci_low", "ci_high", "n", "method", "resamples", "seed",
         }

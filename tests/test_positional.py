@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import finite_diff_grad, max_rel_err, rope_complex_reference, rotate_pairs_reference
 from pmrope import numerics as nm
@@ -8,7 +10,7 @@ from pmrope.positional import (
     ProgressSchedule,
     RopeParams,
     apply_rope,
-    cross_attention_scores,
+    progress_ids,
     rope_table,
     rotate_heads,
 )
@@ -66,6 +68,23 @@ class TestProgressSchedule:
             ProgressSchedule(4, -1.0)
 
 
+class TestProgressIds:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 500), min_size=1, max_size=6), st.integers(0, 700),
+           st.sampled_from([0.0, 1.0, 7.5, 2000.0, 1e6]))
+    def test_rows_equal_the_per_row_formula_bitwise(self, total_lens, n, scale):
+        # L == 1 and n > L are both in the drawn range
+        ids = progress_ids(np.array(total_lens), n, scale)
+        assert ids.shape == (len(total_lens), n) and ids.dtype == np.float64
+        for row, total_len in zip(ids, total_lens):
+            if total_len == 1:
+                expected = np.zeros(n)
+            else:
+                expected = np.arange(n, dtype=np.float64) / (total_len - 1) * scale
+            assert np.array_equal(row, expected)
+            assert np.array_equal(ProgressSchedule(total_len, scale).position_ids(n), expected)
+
+
 class TestApplyRope:
     def test_position_zero_is_identity(self):
         v = np.random.default_rng(0).normal(0, 1, 8)
@@ -107,9 +126,10 @@ def _shift_gap(dtype, n_trials, rng):
         k = rng.normal(0, 1, 16).astype(dtype)
         a, b = rng.uniform(0, 2000, 2)
         c = rng.uniform(-1000, 1000)
-        base = cross_attention_scores(apply_rope(q, a, params), apply_rope(k, b, params))
-        shifted = cross_attention_scores(apply_rope(q, a + c, params), apply_rope(k, b + c, params))
-        worst = max(worst, abs(base - shifted))
+        # attention logits q.k / sqrt(head_dim), taken in float64
+        qa, qc = (apply_rope(q, p, params).astype(np.float64) for p in (a, a + c))
+        kb, kc = (apply_rope(k, p, params).astype(np.float64) for p in (b, b + c))
+        worst = max(worst, abs(qa @ kb / np.sqrt(16) - qc @ kc / np.sqrt(16)))
     return worst
 
 
@@ -129,8 +149,7 @@ class TestCrossAttentionScores:
         k = rng.normal(0, 1, (5, 8))
         q_rot = np.stack([apply_rope(row, 0.0, params) for row in q])
         k_rot = np.stack([apply_rope(row, 0.0, params) for row in k])
-        assert np.array_equal(cross_attention_scores(q_rot, k_rot),
-                              cross_attention_scores(q, k))
+        assert np.array_equal(q_rot @ k_rot.T / np.sqrt(8), q @ k.T / np.sqrt(8))
 
     def test_same_progress_maximizes_self_score(self):
         # enumerate rotated copies of one key over a progress grid
@@ -139,7 +158,7 @@ class TestCrossAttentionScores:
         q_progress = 700.0
         q_rot = apply_rope(q, q_progress, params)
         grid = np.linspace(0, 2000, 401)
-        scores = [cross_attention_scores(q_rot, apply_rope(q, p, params)) for p in grid]
+        scores = [q_rot @ apply_rope(q, p, params) / np.sqrt(16) for p in grid]
         assert grid[int(np.argmax(scores))] == pytest.approx(q_progress, abs=grid[1] - grid[0])
 
     def test_score_depends_only_on_progress_difference(self):
@@ -148,13 +167,9 @@ class TestCrossAttentionScores:
         q = rng.normal(0, 1, 16)
         k = rng.normal(0, 1, 16)
         a, b, c = 123.4, 987.6, 333.3
-        s1 = cross_attention_scores(apply_rope(q, a, params), apply_rope(k, b, params))
-        s2 = cross_attention_scores(apply_rope(q, a + c, params), apply_rope(k, b + c, params))
+        s1 = apply_rope(q, a, params) @ apply_rope(k, b, params) / np.sqrt(16)
+        s2 = apply_rope(q, a + c, params) @ apply_rope(k, b + c, params) / np.sqrt(16)
         assert s1 == pytest.approx(s2, abs=1e-10)
-
-    def test_head_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            cross_attention_scores(np.ones(8), np.ones(6))
 
 
 def table_for(positions, params, n_heads, dtype=np.float64):

@@ -1,0 +1,36 @@
+"""Static checks on the package source: every module reads what it imports.
+
+The package re-exports its public names from __init__.py, which therefore
+imports names it never reads and is left out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pmrope"
+
+
+def unused_imports(source: str) -> list:
+    """Names a module binds by import and never reads, in sorted order."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os\nimport numpy as np\nfrom math import pi, tau\nx = np.zeros(1) * pi\n"
+    assert unused_imports(source) == ["os", "tau"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_no_unused_import(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

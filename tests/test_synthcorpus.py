@@ -175,6 +175,11 @@ class TestPersistence:
         for split in ("train", "val", "test"):
             assert getattr(loaded, split) == getattr(corpus, split)
 
+    def test_silence_ids_pass_the_range_check(self, tmp_path):
+        corpus = generate_corpus(small_config(silence_prob=0.5), 64)
+        save_corpus(corpus, tmp_path)
+        assert load_corpus(tmp_path).train == corpus.train
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         save_corpus(generate_corpus(small_config(), 64), tmp_path / "a")
         save_corpus(generate_corpus(small_config(), 64), tmp_path / "b")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import _example_loss
+from pmrope import numerics as nm
 from pmrope.model import ModelConfig, SpecialTokens, init_params
-from pmrope.numerics import Tensor
+from pmrope.numerics import Tape, Tensor
 from pmrope import training
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.training import (
@@ -286,3 +287,40 @@ class TestBatchLoss:
         expected, n_oracle = _example_loss(examples[0], params, model_config, True)
         assert n_oracle == n_masked
         assert masked.item() == pytest.approx(expected.item(), rel=1e-5)
+
+    @pytest.mark.parametrize("mask_prompt", [False, True], ids=["prompt_scored", "prompt_masked"])
+    def test_ragged_groups_match_the_example_oracle_in_float64(self, mask_prompt):
+        # loss and every gradient of the grouped fused passes against the
+        # position-weighted sum of unbatched, unpadded example losses
+        model_config = ModelConfig(n_enc_layers=1, n_dec_layers=2, d_model=16, n_heads=2,
+                                   head_dim=8, ffn_dim=32)
+        examples = corpus_examples(small_corpus(), model_config)[:8]
+        batch = make_batches(examples, 4096, seed=0, pad_id=SpecialTokens.for_vocab(64).pad)[0]
+        assert len(batch.examples) == 8
+        assert len(training._length_groups(batch.lengths.tolist())) >= 2
+        assert len(set(len(ex.text) for ex in examples)) >= 2  # encoder pads too
+
+        def losses(params):
+            with Tape() as tape:
+                loss, count = batch_loss(batch, params, model_config, mask_prompt)
+            tape.backward(loss)
+            return loss.item(), count, {n: t.grad.copy() for n, t in params.items()}
+
+        def oracle(params):
+            with Tape() as tape:
+                parts = [_example_loss(ex, params, model_config, mask_prompt)
+                         for ex in batch.examples]
+                total = sum(n for _, n in parts)
+                loss = nm.scale(parts[0][0], parts[0][1] / total)
+                for ce, n in parts[1:]:
+                    loss = nm.add(loss, nm.scale(ce, n / total))
+            tape.backward(loss)
+            return loss.item(), total, {n: t.grad.copy() for n, t in params.items()}
+
+        fused, count, grads = losses(init_params(model_config, seed=0, dtype=np.float64))
+        want, want_count, want_grads = oracle(init_params(model_config, seed=0, dtype=np.float64))
+        assert count == want_count
+        assert abs(fused - want) <= 1e-10
+        assert grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert np.abs(grad - want_grads[name]).max() <= 1e-10, name
