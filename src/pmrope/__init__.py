@@ -47,6 +47,7 @@ from .training import (
     OptimState,
     TrainConfig,
     TrainResult,
+    WorkerError,
     adamw_step,
     clip_gradients,
     lr_at,

@@ -41,7 +41,7 @@ from .synthcorpus import (
     prompt_for,
     save_corpus,
 )
-from .training import DivergenceError, TrainConfig, train, write_loss_csv
+from .training import DivergenceError, TrainConfig, WorkerError, train, write_loss_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,7 +78,8 @@ def load_run_config(path=None) -> RunConfig:
                 raw = json.load(fh)
         except UnicodeDecodeError as err:
             raise ConfigError(f"config {path} is not UTF-8: {err}") from None
-        except json.JSONDecodeError as err:
+        # bad syntax, an int of more digits than Python parses, or deep nesting
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -183,7 +184,7 @@ def cmd_train(args) -> int:
     try:
         result = train(corpus, cfg.train, cfg.model, checkpoint_path=args.out,
                        verbose=not args.quiet)
-    except DivergenceError as err:
+    except (DivergenceError, WorkerError) as err:
         if err.result is not None:
             write_loss_csv(loss_csv, err.result.curve)
         print(f"error: {err} (best checkpoint retained at {args.out})", file=sys.stderr)

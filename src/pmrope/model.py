@@ -73,7 +73,7 @@ def _is_int(value) -> bool:
 
 #: each config field annotation -> (check of a JSON value, what the check
 #: wants); bool is an int subclass, so it is excluded by hand. A tuple field
-#: arrives as a JSON list of ints.
+#: arrives as a JSON list of ints, and a float field may arrive as a JSON int.
 _FIELD_CHECKS = {
     "int": (_is_int, "an int"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a float"),
@@ -100,6 +100,12 @@ def config_from_record(cls, record):
         check, wanted = _FIELD_CHECKS[kind]
         if not check(value):
             raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
+        if kind == "float":
+            try:
+                value = float(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"config key {key!r} must be a float, got an int too large "
+                                 f"for one") from None
         values[key] = tuple(value) if kind == "tuple" else value
     return cls(**values)
 

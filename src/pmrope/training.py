@@ -5,11 +5,25 @@ Each utterance trains as one decoder stream bos + prompt + separator + audio
 + eos under teacher forcing; the progress schedule spans that full stream so
 inference can mirror it. The loss covers the prompt region by default (an
 option masks it out) and never covers padding.
+
+train() runs OpenBLAS on one thread. Where fork works, two CPUs are usable
+and the run has steps enough, it forks one worker that runs a share of every
+batch's length groups (and of every evaluation's batches) on parameters kept
+in shared memory. The gradients are summed in the order batch_loss's tape
+sums them, so the loss curve and the checkpoint bytes do not depend on
+whether the worker runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import mmap
+import multiprocessing
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +38,7 @@ from .model import (
     encode_batch,
     init_params,
 )
-from .numerics import Tape
+from .numerics import Tape, Tensor
 from .positional import progress_ids
 from .synthcorpus import Corpus, prompt_for
 
@@ -218,20 +232,26 @@ def _length_groups(lengths) -> list:
     return groups
 
 
+def _loss_mask(batch: Batch, rows, mask_prompt: bool) -> np.ndarray:
+    """[len(rows), S] positions of some rows of a batch that their pass scores."""
+    lengths = batch.lengths[rows] - 1  # teacher forcing drops the last token
+    position = np.arange(int(lengths.max()))
+    mask = position < lengths[:, None]
+    if mask_prompt:  # nor the predictions of the prompt tokens and the separator
+        mask &= position > np.array([batch.examples[i].prompt_len for i in rows])[:, None]
+    return mask
+
+
 def _fused_loss(batch: Batch, rows, params: ModelParams, config: ModelConfig,
                 mask_prompt: bool):
     """Mean NLL of some rows of a batch in one pass, sliced from the batch's
     padded streams, and the number of positions in the mean."""
     examples = [batch.examples[i] for i in rows]
-    lengths = batch.lengths[rows] - 1  # teacher forcing drops the last token
-    S = int(lengths.max())
+    loss_mask = _loss_mask(batch, rows, mask_prompt)
+    S = loss_mask.shape[1]
     tokens = batch.tokens[rows, : S + 1]
-    position = np.arange(S)
-    loss_mask = position < lengths[:, None]
-    if mask_prompt:  # nor the predictions of the prompt tokens and the separator
-        loss_mask &= position > np.array([ex.prompt_len for ex in examples])[:, None]
     enc_states, text_real = encode_batch([ex.text for ex in examples], params, config)
-    dec_prog = progress_ids(lengths, S, config.progress_scale)
+    dec_prog = progress_ids(batch.lengths[rows] - 1, S, config.progress_scale)
     enc_prog = progress_ids([len(ex.text) for ex in examples], enc_states.data.shape[1],
                             config.progress_scale)
     logits = decoder_batch(tokens[:, :-1], enc_states, text_real, dec_prog, enc_prog,
@@ -241,6 +261,32 @@ def _fused_loss(batch: Batch, rows, params: ModelParams, config: ModelConfig,
     return loss, int(loss_mask.sum())
 
 
+def _weighted_sum(parts, total: int):
+    """Sum of (loss, count) parts, each weighted count/total, folded in order."""
+    combined = nm.scale(parts[0][0], parts[0][1] / total)
+    for loss, count in parts[1:]:
+        combined = nm.add(combined, nm.scale(loss, count / total))
+    return combined
+
+
+def _pass_cost(batch: Batch, rows) -> float:
+    """Estimated work of one fused pass: rows x (longest length)^1.5."""
+    return len(rows) * float(batch.lengths[rows[0]]) ** 1.5
+
+
+def _split(costs, worker) -> tuple:
+    """Item indices for the main process and for the worker, each in order.
+    The costliest item goes first, each to the side with less cost so far;
+    a tie goes to the worker, so the costliest item and its memory go there,
+    unless it is the only one. Without a worker the main process takes all."""
+    shares, loads = ([], []), [0.0, 0.0]
+    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+        side = int(worker is not None and len(costs) > 1 and loads[1] <= loads[0])
+        shares[side].append(k)
+        loads[side] += costs[k]
+    return sorted(shares[0]), sorted(shares[1])
+
+
 def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
                mask_prompt: bool = False):
     """Mean NLL over every unmasked position of a batch.
@@ -248,31 +294,278 @@ def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
     Returns (loss tensor, number of positions in the mean). Runs one fused
     pass per within-batch length group and recombines position-weighted.
     """
-    parts = []
-    total = 0
-    for rows in _length_groups(batch.lengths.tolist()):
-        loss, count = _fused_loss(batch, rows, params, config, mask_prompt)
-        parts.append((loss, count))
-        total += count
-    combined = nm.scale(parts[0][0], parts[0][1] / total)
-    for loss, count in parts[1:]:
-        combined = nm.add(combined, nm.scale(loss, count / total))
-    return combined, total
+    parts = [_fused_loss(batch, rows, params, config, mask_prompt)
+             for rows in _length_groups(batch.lengths.tolist())]
+    total = sum(count for _, count in parts)
+    return _weighted_sum(parts, total), total
+
+
+def _group_gradients(groups, batch: Batch, total: int, mask_prompt: bool,
+                     params: ModelParams, config: ModelConfig) -> list:
+    """For each (rows, count) length group of a batch, run on a tape of its
+    own: the group's loss array and, when that is finite, every parameter's
+    gradient (None where the group leaves one untouched) of the group's
+    share count/total of the batch loss."""
+    out = []
+    for rows, count in groups:
+        for _, t in params.items():
+            t.grad = None  # so the backward leaves this group's gradient alone in it
+        with Tape() as tape:
+            loss, _ = _fused_loss(batch, rows, params, config, mask_prompt)
+            share = nm.scale(loss, count / total)
+        if math.isfinite(loss.item()):
+            tape.backward(share)
+            out.append((loss.data, [t.grad for _, t in params.items()]))
+        else:
+            out.append((loss.data, None))
+    return out
+
+
+def _batch_losses(batches, mask_prompt: bool, params: ModelParams,
+                  config: ModelConfig) -> list:
+    """(loss value, positions in the mean) of each batch, forward-only."""
+    return [(loss.item(), count) for loss, count in
+            (batch_loss(batch, params, config, mask_prompt) for batch in batches)]
+
+
+#: what a worker may be asked to run, by name
+_JOBS = {"groups": _group_gradients, "batches": _batch_losses}
+
+
+def _run_split(job: str, items: list, costs: list, worker, *args,
+               params: ModelParams, config: ModelConfig) -> list:
+    """The job's result for each item, in item order. With a worker, a
+    cost-balanced share of the items runs there meanwhile."""
+    mine, theirs = _split(costs, worker)
+    if theirs:
+        worker.submit(job, [items[k] for k in theirs], *args)
+    results = dict(zip(mine, _JOBS[job]([items[k] for k in mine], *args, params, config)))
+    if theirs:
+        results.update(zip(theirs, worker.receive()))
+    return [results[k] for k in range(len(items))]
+
+
+def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
+                    mask_prompt: bool, worker=None) -> float:
+    """batch_loss's value for a training batch. When it is finite, every
+    parameter is left holding the gradient that batch_loss and one
+    Tape.backward give it, which is what runs without a worker.
+
+    With one, the length groups are split between the two processes by
+    cost. Each group runs forward and backward on a tape of its own, so only
+    one group's activations are alive in a process at a time, and the
+    groups' gradients are added into zeros last group first, as one tape
+    sums them. The value is rebuilt from the groups' losses by batch_loss's
+    own float operations.
+    """
+    if worker is None:
+        with Tape() as tape:
+            loss, _ = batch_loss(batch, params, config, mask_prompt)
+        if math.isfinite(loss.item()):
+            tape.backward(loss)
+        return loss.item()
+    groups = _length_groups(batch.lengths.tolist())
+    counts = [int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups]
+    total = sum(counts)
+    results = _run_split("groups", list(zip(groups, counts)),
+                         [_pass_cost(batch, rows) for rows in groups], worker,
+                         batch, total, mask_prompt, params=params, config=config)
+    loss = _weighted_sum([(Tensor(value), count) for (value, _), count in zip(results, counts)],
+                         total).item()
+    if math.isfinite(loss):  # so every group's loss is, and every group has gradients
+        for i, (_, t) in enumerate(params.items()):
+            t.grad = np.zeros_like(t.data)
+            for _, grads in reversed(results):
+                if grads[i] is not None:
+                    t.grad += grads[i]
+    return loss
 
 
 def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
-                  mask_prompt: bool = False) -> float:
-    """Mean NLL over a list of examples, forward-only."""
+                  mask_prompt: bool = False, worker=None) -> float:
+    """Mean NLL over a list of examples, forward-only. With a worker, a
+    cost-balanced share of the batches runs there."""
     if not examples:
         raise ValueError("evaluate_loss needs at least one example")
     pad = SpecialTokens.for_vocab(config.audio_vocab).pad
+    batches = make_batches(examples, EVAL_TOKEN_BUDGET, seed=0, pad_id=pad)
+    costs = [sum(_pass_cost(b, rows) for rows in _length_groups(b.lengths.tolist()))
+             for b in batches]
     total_nll = 0.0
     total_count = 0
-    for batch in make_batches(examples, EVAL_TOKEN_BUDGET, seed=0, pad_id=pad):
-        loss, count = batch_loss(batch, params, config, mask_prompt)
-        total_nll += loss.item() * count
+    for value, count in _run_split("batches", batches, costs, worker, mask_prompt,
+                                   params=params, config=config):
+        total_nll += value * count
         total_count += count
     return total_nll / total_count
+
+
+# ---------------------------------------------------------------------------
+# The worker process
+# ---------------------------------------------------------------------------
+
+#: seconds the main process waits for the worker's share before naming it hung
+_WORKER_TIMEOUT_S = 600.0
+
+#: fewest training steps that repay the worker's fork, its shutdown and the
+#: copy-on-write page faults that follow the fork: on two cores, with a
+#: 16-wide model, 2-step runs took 1.25 times as long with the worker and
+#: 8-step runs about as long
+_MIN_WORKER_STEPS = 10
+
+#: True or False forces the worker on or off; None lets _worker_wanted decide
+_force_worker = None
+
+
+class WorkerError(RuntimeError):
+    """Raised when the training worker process dies or stops answering."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None when none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = [line.split()[-1] for line in fh]
+        path = next((p for p in paths if "openblas" in p.lower() and ".so" in p), None)
+        lib = ctypes.CDLL(path) if path is not None else None
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+    Yields whether the count could be set."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield False
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _worker_wanted(blas_pinned: bool, total_steps: int) -> bool:
+    """A second process pays only with fork, two usable CPUs, one BLAS
+    thread per process (two spinning BLAS threads each would contend), and
+    steps enough to repay its start."""
+    if _force_worker is not None:
+        return _force_worker
+    return (blas_pinned and total_steps >= _MIN_WORKER_STEPS
+            and "fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _share(params: ModelParams) -> None:
+    """Move every parameter into one anonymous shared mapping, so that the
+    main process's in-place updates reach a process forked afterwards."""
+    offsets, end = [], 0
+    for _, t in params.items():
+        offsets.append(end)
+        end += -(-t.data.nbytes // 64) * 64  # each tensor 64-byte aligned
+    buffer = mmap.mmap(-1, end)
+    for offset, (_, t) in zip(offsets, params.items()):
+        view = np.frombuffer(buffer, t.data.dtype, t.data.size, offset).reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+
+
+def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
+    """The worker's loop: run each job the main process sends and send back
+    its result, or the exception it raised, until the pipe closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
+    while True:
+        try:
+            job, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = ("ok", _JOBS[job](*args, params, config))
+        except Exception as err:  # raised again in the main process
+            try:
+                pickle.loads(pickle.dumps(err))
+            except Exception:
+                err = WorkerError(f"training worker raised {type(err).__name__}: {err}")
+            reply = ("error", err)
+        conn.send(reply)
+
+
+class _Worker:
+    """One forked process that runs jobs on the parameters shared with it."""
+
+    def __init__(self, params: ModelParams, config: ModelConfig):
+        # fork, so the worker inherits the parameters' shared mapping and
+        # every loaded module, and nothing is pickled to start it
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_serve, args=(child, params, config),
+                                       daemon=True)
+        try:
+            self.process.start()
+        finally:
+            child.close()  # the worker's own end is then its only one, so its death reads as EOF
+
+    def _gone(self) -> WorkerError:
+        self.process.join(1.0)
+        return WorkerError(f"training worker (pid {self.process.pid}) exited with code "
+                           f"{self.process.exitcode}")
+
+    def submit(self, job: str, *args) -> None:
+        try:
+            self.conn.send((job, args))
+        except OSError:
+            raise self._gone() from None
+
+    def receive(self):
+        """The result of the job submitted last; raises what the job raised."""
+        if not self.conn.poll(_WORKER_TIMEOUT_S):
+            raise WorkerError(f"training worker (pid {self.process.pid}) did not answer "
+                              f"within {_WORKER_TIMEOUT_S:g} s")
+        try:
+            status, payload = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._gone() from None
+        if status == "error":
+            raise payload
+        return payload
+
+    def close(self) -> None:
+        self.process.terminate()
+        self.process.join()
+        self.process.close()
+        self.conn.close()
+
+
+@contextlib.contextmanager
+def _training_worker(params: ModelParams, config: ModelConfig, total_steps: int):
+    """Run the block with OpenBLAS on one thread, and with a running _Worker
+    where _worker_wanted says one pays (else None). The worker is stopped and
+    reaped, and the thread count restored, however the block ends."""
+    with _one_blas_thread() as pinned:
+        worker = _Worker(params, config) if _worker_wanted(pinned, total_steps) else None
+        try:
+            yield worker
+        finally:
+            if worker is not None:
+                worker.close()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +587,9 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
 
     The best checkpoint is written to checkpoint_path (when given) every time
     validation improves, so a divergence abort always leaves the last good
-    checkpoint on disk; the DivergenceError carries the partial result.
+    checkpoint on disk; the DivergenceError carries the partial result, as
+    does the WorkerError of a worker that dies or hangs. No process started
+    here outlives the call.
     """
     if not corpus.train or not corpus.val:
         raise ValueError("train and validation splits must be nonempty")
@@ -303,59 +598,63 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     val_ex = [build_example(u, corpus.spec, specials) for u in corpus.val]
 
     params = init_params(model_config, cfg.seed)
+    _share(params)
     state = OptimState.for_params(params)
 
-    init_train = evaluate_loss(train_ex[: min(len(train_ex), 200)], params, model_config, cfg.mask_prompt)
-    init_val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt)
-    curve = [(0, init_train, init_val)]
-    best_params = params.copy()
-    best_val = init_val
-    best_step = 0
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, best_params)
-    if verbose:
-        print(f"step {0:>6d}/{cfg.total_steps}  train {init_train:.4f}  val {init_val:.4f}")
+    with _training_worker(params, model_config, cfg.total_steps) as worker:
+        init_train = evaluate_loss(train_ex[: min(len(train_ex), 200)], params, model_config,
+                                   cfg.mask_prompt, worker)
+        init_val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
+        curve = [(0, init_train, init_val)]
+        best_params = params.copy()
+        best_val = init_val
+        best_step = 0
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, best_params)
+        if verbose:
+            print(f"step {0:>6d}/{cfg.total_steps}  train {init_train:.4f}  val {init_val:.4f}")
 
-    def result() -> TrainResult:
-        return TrainResult(params=best_params, best_val_loss=best_val, best_step=best_step, curve=curve)
-
-    step = 0
-    epoch = 0
-    window: list = []
-    while step < cfg.total_steps:
-        for batch in make_batches(train_ex, cfg.token_budget, cfg.seed + epoch, specials.pad):
-            if step >= cfg.total_steps:
-                break
-            with Tape() as tape:
-                loss, _ = batch_loss(batch, params, model_config, cfg.mask_prompt)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise DivergenceError(f"non-finite training loss at step {step}", result())
-            tape.backward(loss)
-            clip_gradients(params, cfg.clip_norm)
-            try:
-                adamw_step(params, state, lr_at(step + 1, cfg), cfg)
-            except DivergenceError as err:
-                raise DivergenceError(f"{err} (step {step})", result()) from None
-            params.zero_grad()
-            window.append(loss_value)
-            step += 1
-            if step % cfg.validation_interval == 0 or step == cfg.total_steps:
-                val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt)
-                train_avg = sum(window) / len(window)
-                window = []
-                curve.append((step, train_avg, val))
-                if val < best_val:
-                    best_val = val
-                    best_step = step
-                    best_params = params.copy()
-                    if checkpoint_path is not None:
-                        save_checkpoint(checkpoint_path, best_params)
-                if verbose:
-                    print(f"step {step:>6d}/{cfg.total_steps}  train {train_avg:.4f}  val {val:.4f}"
-                          f"  lr {lr_at(step, cfg):.2e}")
-        epoch += 1
-    return result()
+        step = 0
+        epoch = 0
+        window: list = []
+        try:
+            while step < cfg.total_steps:
+                for batch in make_batches(train_ex, cfg.token_budget, cfg.seed + epoch,
+                                          specials.pad):
+                    if step >= cfg.total_steps:
+                        break
+                    loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
+                                                 worker)
+                    if not math.isfinite(loss_value):
+                        raise DivergenceError(f"non-finite training loss at step {step}")
+                    clip_gradients(params, cfg.clip_norm)
+                    try:
+                        adamw_step(params, state, lr_at(step + 1, cfg), cfg)
+                    except DivergenceError as err:
+                        raise DivergenceError(f"{err} (step {step})") from None
+                    params.zero_grad()
+                    window.append(loss_value)
+                    step += 1
+                    if step % cfg.validation_interval == 0 or step == cfg.total_steps:
+                        val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt,
+                                            worker)
+                        train_avg = sum(window) / len(window)
+                        window = []
+                        curve.append((step, train_avg, val))
+                        if val < best_val:
+                            best_val = val
+                            best_step = step
+                            best_params = params.copy()
+                            if checkpoint_path is not None:
+                                save_checkpoint(checkpoint_path, best_params)
+                        if verbose:
+                            print(f"step {step:>6d}/{cfg.total_steps}  train {train_avg:.4f}  "
+                                  f"val {val:.4f}  lr {lr_at(step, cfg):.2e}")
+                epoch += 1
+        except (DivergenceError, WorkerError) as err:
+            err.result = TrainResult(best_params, best_val, best_step, curve)
+            raise
+    return TrainResult(best_params, best_val, best_step, curve)
 
 
 def write_loss_csv(path, curve) -> None:

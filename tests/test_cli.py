@@ -1,17 +1,21 @@
 import json
+import multiprocessing
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmrope import decoding
-from pmrope.cli import ConfigError, evaluate_model, load_run_config, main
+from pmrope import decoding, numerics, training
+from pmrope.checkpoint import load_checkpoint
+from pmrope.cli import _SECTIONS, ConfigError, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.synthcorpus import load_corpus
@@ -114,6 +118,72 @@ class TestRunConfig:
         path.write_text(json.dumps({"train": {"peak_lr": 1}, "corpus": {"stretch_factors": [2]}}))
         cfg = load_run_config(str(path))
         assert cfg.train.peak_lr == 1 and cfg.corpus.stretch_factors == (2,)
+        assert isinstance(cfg.train.peak_lr, float)
+
+    @pytest.mark.parametrize("section, key", [("model", "rope_base"), ("model", "progress_scale"),
+                                              ("train", "peak_lr"), ("sampler", "temperature")])
+    def test_int_past_the_float_range_exits_2(self, tmp_path, capsys, section, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: 10 ** 400}}))
+        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert f"config key {key!r} must be a float, got an int too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000], ids=["digits", "nesting"])
+    def test_json_python_cannot_read_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_config_loads_or_raises_config_error(self, draw):
+        # a drawn config either loads, with every float field a float, or
+        # raises ConfigError (exit 2); nothing else escapes load_run_config
+        small = st.integers(-3, 4096)  # so no model dimension sizes a large array
+        huge = st.integers(2 ** 1024, 10 ** 400) | st.integers(-(10 ** 400), -(2 ** 1024))
+        nested = st.recursive(st.none() | st.booleans() | small | st.floats() | st.text(max_size=3),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                              max_leaves=6)
+        # mostly values in range, so that a good share of the configs load
+        typed = {"int": st.sampled_from([1, 2, 4, 8, 16, 64]) | small,
+                 "float": st.floats(0, 1) | st.integers(0, 3) | huge | st.floats(),
+                 "bool": st.booleans(), "tuple": st.lists(st.integers(-3, 8), max_size=3)}
+        def names(known):  # known names, and now and then another
+            chosen = draw.draw(st.lists(st.sampled_from(known), unique=True, max_size=3))
+            return chosen + ([draw.draw(st.text(max_size=4))] if draw.draw(rarely) else [])
+
+        rarely = st.integers(0, 9).map(lambda n: n == 0)
+        raw = {}
+        for section in names(list(_SECTIONS)):
+            if section not in _SECTIONS or draw.draw(rarely):
+                raw[section] = draw.draw(nested)
+                continue
+            kinds = {f.name: f.type for f in fields(_SECTIONS[section])}
+            record = {}
+            for key in names(list(kinds)):
+                wrong = key not in kinds or draw.draw(rarely)
+                value = nested if wrong else typed[kinds[key]]
+                if section != "model" and kinds.get(key) == "int":
+                    value = value | huge
+                record[key] = draw.draw(value)
+            raw[section] = record
+        data = json.dumps(raw).encode("ascii")
+        if draw.draw(rarely):  # one byte that is not UTF-8
+            at = draw.draw(st.integers(0, len(data)))
+            data = data[:at] + bytes([draw.draw(st.integers(0x80, 0xFF))]) + data[at:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_bytes(data)
+            try:
+                cfg = load_run_config(path)
+            except ConfigError:
+                return
+        for section, cls in _SECTIONS.items():
+            for f in fields(cls):
+                if f.type == "float":
+                    assert isinstance(getattr(getattr(cfg, section), f.name), float)
 
 
 class TestCorpusCommand:
@@ -270,6 +340,37 @@ class TestTrainCommand:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_killed_worker_exits_3_and_keeps_the_checkpoint(self, tmp_path, run_config_path,
+                                                            corpus_dir, capsys, monkeypatch):
+        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
+        main_pid = os.getpid()
+        pid_file = tmp_path / "worker.pid"
+        backward = numerics.Tape.backward
+        calls = []
+
+        def dying(tape, loss):
+            if os.getpid() != main_pid:  # in the worker, whose steps run backward too
+                calls.append(loss)
+                if len(calls) == 3:
+                    pid_file.write_text(str(os.getpid()))
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return backward(tape, loss)
+
+        monkeypatch.setattr(numerics.Tape, "backward", dying)
+        out = tmp_path / "m.pmrt"
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        assert "exited with code -9 (best checkpoint retained at" in capsys.readouterr().err
+        assert load_checkpoint(out).config == ModelConfig(**SMALL_RUN["model"])
+        with open(str(out) + ".losses.csv") as fh:
+            assert fh.readline().strip() == "step,train_loss,val_loss"
+            assert fh.readline().startswith("0,")
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+        assert multiprocessing.active_children() == []
 
     def test_missing_corpus_exits_2(self, tmp_path, run_config_path):
         code = main(["train", "--config", run_config_path, "--corpus",

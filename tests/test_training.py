@@ -1,4 +1,9 @@
+import hashlib
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -324,3 +329,171 @@ class TestBatchLoss:
         assert grads.keys() == want_grads.keys()
         for name, grad in grads.items():
             assert np.abs(grad - want_grads[name]).max() <= 1e-10, name
+
+
+SPLIT_MODEL = ModelConfig(n_enc_layers=1, n_dec_layers=2, d_model=16, n_heads=2, head_dim=8,
+                          ffn_dim=32)
+
+
+def in_worker(main_pid) -> bool:
+    return os.getpid() != main_pid
+
+
+def assert_gone(pid):
+    """The process is neither running nor an unreaped zombie."""
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert multiprocessing.active_children() == []
+
+
+class TestSplitSteps:
+    """train()'s steps split a batch's length groups between the main process
+    and a worker, and must leave batch_loss's loss and gradients bit for bit."""
+
+    @pytest.mark.parametrize("mask_prompt", [False, True], ids=["prompt_scored", "prompt_masked"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_split_gradients_equal_batch_loss_bitwise(self, monkeypatch, dtype, mask_prompt):
+        monkeypatch.setattr(training, "_force_worker", True)
+        examples = corpus_examples(small_corpus(n_train=40), SPLIT_MODEL)
+        batches = [b for b in make_batches(examples, 512, seed=0,
+                                           pad_id=SpecialTokens.for_vocab(64).pad)
+                   if len(training._length_groups(b.lengths.tolist())) >= 3]
+        assert len(batches) >= 2
+        params = init_params(SPLIT_MODEL, seed=0, dtype=dtype)
+        training._share(params)
+        with training._training_worker(params, SPLIT_MODEL, 1) as worker:
+            assert worker is not None
+            for batch in batches:
+                groups = training._length_groups(batch.lengths.tolist())
+                mine, theirs = training._split([training._pass_cost(batch, rows)
+                                                for rows in groups], worker)
+                assert mine and theirs
+                params.zero_grad()
+                with Tape() as tape:
+                    want, _ = batch_loss(batch, params, SPLIT_MODEL, mask_prompt)
+                tape.backward(want)
+                want_grads = {n: t.grad.tobytes() for n, t in params.items()}
+                for split in (None, worker):
+                    params.zero_grad()
+                    value = training._step_gradients(batch, params, SPLIT_MODEL, mask_prompt,
+                                                     split)
+                    assert np.asarray(value, dtype).tobytes() == want.data.tobytes()
+                    for name, t in params.items():
+                        assert t.grad.tobytes() == want_grads[name], name
+        assert multiprocessing.active_children() == []
+
+    def test_split_evaluation_equals_the_serial_one(self, monkeypatch):
+        monkeypatch.setattr(training, "_force_worker", True)
+        examples = corpus_examples(small_corpus(n_train=400), SPLIT_MODEL)
+        assert len(make_batches(examples, training.EVAL_TOKEN_BUDGET, seed=0,
+                                pad_id=SpecialTokens.for_vocab(64).pad)) >= 2
+        params = init_params(SPLIT_MODEL, seed=0)
+        training._share(params)
+        serial = training.evaluate_loss(examples, params, SPLIT_MODEL, True)
+        with training._training_worker(params, SPLIT_MODEL, 1) as worker:
+            assert training.evaluate_loss(examples, params, SPLIT_MODEL, True, worker) == serial
+
+    @pytest.mark.parametrize("mask_prompt", [True, False], ids=["prompt_masked", "prompt_scored"])
+    def test_recipe_is_identical_with_and_without_the_worker(self, tmp_path, monkeypatch,
+                                                             mask_prompt):
+        # the acceptance suite's reference recipe, cut to 40 steps
+        corpus = generate_corpus(CorpusConfig(seed=0), ModelConfig().audio_vocab)
+        cfg = TrainConfig(peak_lr=1.5e-3, weight_decay=0.02, total_steps=40,
+                          validation_interval=40, token_budget=2048, seed=0,
+                          mask_prompt=mask_prompt)
+        runs = []
+        for worker in (True, False):
+            monkeypatch.setattr(training, "_force_worker", worker)
+            path = tmp_path / f"worker-{worker}.pmrt"
+            result = train(corpus, cfg, ModelConfig(), checkpoint_path=path)
+            runs.append((result.curve, hashlib.sha256(path.read_bytes()).hexdigest()))
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+
+class TestWorker:
+    def test_worker_needs_two_cpus_one_blas_thread_and_steps(self, monkeypatch):
+        steps = training._MIN_WORKER_STEPS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert training._worker_wanted(True, steps)
+        assert not training._worker_wanted(False, steps)
+        assert not training._worker_wanted(True, steps - 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not training._worker_wanted(True, steps)
+        monkeypatch.setattr(training, "_force_worker", True)
+        assert training._worker_wanted(False, 1)
+
+    def test_blas_runs_on_one_thread_and_is_restored(self, monkeypatch):
+        threads = training._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy does not run on OpenBLAS here")
+        get, _ = threads
+        before = get()
+        seen = []
+        clip = training.clip_gradients
+
+        def recording(*args):
+            seen.append(get())
+            return clip(*args)
+
+        monkeypatch.setattr(training, "clip_gradients", recording)
+        train(small_corpus(), TrainConfig(total_steps=2, validation_interval=2), SPLIT_MODEL)
+        assert seen == [1, 1]
+        assert get() == before
+
+    def test_worker_exception_is_raised_again_in_the_main_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(training, "_force_worker", True)
+        main_pid = os.getpid()
+        pid_file = tmp_path / "worker.pid"
+        fused = training._fused_loss
+
+        def failing(*args):
+            if in_worker(main_pid):
+                pid_file.write_text(str(os.getpid()))
+                raise ValueError("token id outside [0, 69) in the worker")
+            return fused(*args)
+
+        monkeypatch.setattr(training, "_fused_loss", failing)
+        with pytest.raises(ValueError, match=r"^token id outside \[0, 69\) in the worker$"):
+            train(small_corpus(), TrainConfig(total_steps=2, validation_interval=2), SPLIT_MODEL)
+        assert_gone(int(pid_file.read_text()))
+
+    def test_hung_worker_is_named_and_stopped(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 0.5)
+        main_pid = os.getpid()
+        pid_file = tmp_path / "worker.pid"
+        fused = training._fused_loss
+
+        def hanging(*args):
+            if in_worker(main_pid):
+                pid_file.write_text(str(os.getpid()))
+                time.sleep(60)
+            return fused(*args)
+
+        monkeypatch.setattr(training, "_fused_loss", hanging)
+        started = time.monotonic()
+        with pytest.raises(training.WorkerError, match="did not answer within 0.5 s") as err:
+            train(small_corpus(), TrainConfig(total_steps=2, validation_interval=2), SPLIT_MODEL)
+        assert time.monotonic() - started < 30
+        assert err.value.result is not None and err.value.result.curve[0][0] == 0
+        assert_gone(int(pid_file.read_text()))
+
+    def test_worker_ignores_ctrl_c(self, monkeypatch):
+        # a terminal's Ctrl-C reaches the whole process group; only the main
+        # process may act on it
+        monkeypatch.setattr(training, "_force_worker", True)
+        main_pid = os.getpid()
+        fused = training._fused_loss
+
+        def interrupted(*args):
+            if in_worker(main_pid):
+                os.kill(os.getpid(), signal.SIGINT)
+            return fused(*args)
+
+        corpus = small_corpus()
+        cfg = TrainConfig(total_steps=2, validation_interval=2)
+        want = train(corpus, cfg, SPLIT_MODEL).curve
+        monkeypatch.setattr(training, "_fused_loss", interrupted)
+        assert train(corpus, cfg, SPLIT_MODEL).curve == want
+        assert multiprocessing.active_children() == []
