@@ -6,18 +6,19 @@ Each utterance trains as one decoder stream bos + prompt + separator + audio
 inference can mirror it. The loss covers the prompt region by default (an
 option masks it out) and never covers padding.
 
-train() runs OpenBLAS on one thread. Where fork works, two CPUs are usable
-and the run has steps enough, it forks one worker that runs a share of every
-batch's length groups (and of every evaluation's batches) on parameters kept
-in shared memory. The gradients are summed in the order batch_loss's tape
-sums them, so the loss curve and the checkpoint bytes do not depend on
-whether the worker runs.
+train() runs OpenBLAS on one thread. Where fork works and two CPUs are
+usable, it forks one worker that runs a share of the length groups of every
+training batch and every evaluation, on parameters kept in shared memory.
+The gradients are summed in the order batch_loss's tape sums them, so the
+loss curve and the checkpoint bytes do not depend on whether the worker runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import gc
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -274,28 +275,33 @@ def _pass_cost(batch: Batch, rows) -> float:
     return len(rows) * float(batch.lengths[rows[0]]) ** 1.5
 
 
-def _split(costs, worker) -> tuple:
-    """Item indices for the main process and for the worker, each in order.
-    The costliest item goes first, each to the side with less cost so far;
-    a tie goes to the worker, so the costliest item and its memory go there,
-    unless it is the only one. Without a worker the main process takes all."""
-    shares, loads = ([], []), [0.0, 0.0]
-    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
-        side = int(worker is not None and len(costs) > 1 and loads[1] <= loads[0])
-        shares[side].append(k)
-        loads[side] += costs[k]
-    return sorted(shares[0]), sorted(shares[1])
+def _split(costs, worker) -> int:
+    """How many leading items the worker takes: the count that leaves the
+    two processes' costs closest, the last item always staying with the
+    main process. 0 without a worker."""
+    if worker is None:
+        return 0
+    whole, before, best = sum(costs), 0.0, (math.inf, 0)
+    for k in range(len(costs)):
+        best = min(best, (max(before, whole - before), k))
+        before += costs[k]
+    return best[1]
 
 
 def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
-               mask_prompt: bool = False):
+               mask_prompt: bool = False, groups=None):
     """Mean NLL over every unmasked position of a batch.
 
     Returns (loss tensor, number of positions in the mean). Runs one fused
     pass per within-batch length group and recombines position-weighted.
+    Given groups, some of the batch's length groups as row lists, it runs
+    only those and returns their (loss tensor, positions) parts instead,
+    for the caller to weight by the whole batch's positions.
     """
     parts = [_fused_loss(batch, rows, params, config, mask_prompt)
-             for rows in _length_groups(batch.lengths.tolist())]
+             for rows in (_length_groups(batch.lengths.tolist()) if groups is None else groups)]
+    if groups is not None:
+        return parts
     total = sum(count for _, count in parts)
     return _weighted_sum(parts, total), total
 
@@ -321,62 +327,59 @@ def _group_gradients(groups, batch: Batch, total: int, mask_prompt: bool,
     return out
 
 
-def _batch_losses(batches, mask_prompt: bool, params: ModelParams,
+def _group_losses(items, mask_prompt: bool, params: ModelParams,
                   config: ModelConfig) -> list:
-    """(loss value, positions in the mean) of each batch, forward-only."""
-    return [(loss.item(), count) for loss, count in
-            (batch_loss(batch, params, config, mask_prompt) for batch in batches)]
-
-
-#: what a worker may be asked to run, by name
-_JOBS = {"groups": _group_gradients, "batches": _batch_losses}
-
-
-def _run_split(job: str, items: list, costs: list, worker, *args,
-               params: ModelParams, config: ModelConfig) -> list:
-    """The job's result for each item, in item order. With a worker, a
-    cost-balanced share of the items runs there meanwhile."""
-    mine, theirs = _split(costs, worker)
-    if theirs:
-        worker.submit(job, [items[k] for k in theirs], *args)
-    results = dict(zip(mine, _JOBS[job]([items[k] for k in mine], *args, params, config)))
-    if theirs:
-        results.update(zip(theirs, worker.receive()))
-    return [results[k] for k in range(len(items))]
+    """(loss array, positions) of each (batch, rows) length group, in order
+    and forward-only, with one batch_loss call per run of one batch's groups."""
+    out = []
+    for _, run in itertools.groupby(items, key=lambda item: id(item[0])):
+        run = list(run)
+        out += [(loss.data, count) for loss, count in
+                batch_loss(run[0][0], params, config, mask_prompt, [rows for _, rows in run])]
+    return out
 
 
 def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
-                    mask_prompt: bool, worker=None) -> float:
+                    mask_prompt: bool, worker=None, last: bool = False) -> float:
     """batch_loss's value for a training batch. When it is finite, every
     parameter is left holding the gradient that batch_loss and one
-    Tape.backward give it, which is what runs without a worker.
+    Tape.backward give it.
 
-    With one, the length groups are split between the two processes by
-    cost. Each group runs forward and backward on a tape of its own, so only
-    one group's activations are alive in a process at a time, and the
-    groups' gradients are added into zeros last group first, as one tape
-    sums them. The value is rebuilt from the groups' losses by batch_loss's
-    own float operations.
+    With a worker, the batch's longest length groups run there meanwhile,
+    each forward and backward on a tape of its own; the rest, or without a
+    worker every group, run in this process on one tape. The worker's
+    groups' gradients are then added to this tape's last group first, the
+    order in which one tape over the whole batch sums them, and the value is
+    rebuilt from the groups' losses by batch_loss's own float operations.
+    If this is the worker's last use, it is told to exit once its share is
+    done: a process forked from a large one takes milliseconds to tear
+    down, and that then overlaps the rest of the run.
     """
-    if worker is None:
-        with Tape() as tape:
-            loss, _ = batch_loss(batch, params, config, mask_prompt)
-        if math.isfinite(loss.item()):
-            tape.backward(loss)
-        return loss.item()
     groups = _length_groups(batch.lengths.tolist())
     counts = [int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups]
     total = sum(counts)
-    results = _run_split("groups", list(zip(groups, counts)),
-                         [_pass_cost(batch, rows) for rows in groups], worker,
-                         batch, total, mask_prompt, params=params, config=config)
-    loss = _weighted_sum([(Tensor(value), count) for (value, _), count in zip(results, counts)],
-                         total).item()
+    k = _split([_pass_cost(batch, rows) for rows in groups], worker)
+    if k:
+        worker.submit(_group_gradients, list(zip(groups[:k], counts[:k])), batch, total,
+                      mask_prompt)
+    if last and worker is not None:
+        worker.stop()
+    with Tape() as tape:
+        parts = batch_loss(batch, params, config, mask_prompt, groups[k:])
+        share = _weighted_sum(parts, total)
+    if math.isfinite(share.item()):
+        tape.backward(share)
+    theirs = worker.receive() if k else []
+    values = [value for value, _ in theirs] + [loss.data for loss, _ in parts]
+    loss = _weighted_sum([(Tensor(v), c) for v, c in zip(values, counts)], total).item()
     if math.isfinite(loss):  # so every group's loss is, and every group has gradients
         for i, (_, t) in enumerate(params.items()):
-            t.grad = np.zeros_like(t.data)
-            for _, grads in reversed(results):
-                if grads[i] is not None:
+            for _, grads in reversed(theirs):
+                if grads[i] is None:
+                    continue
+                if t.grad is None:
+                    t.grad = grads[i]
+                else:
                     t.grad += grads[i]
     return loss
 
@@ -384,18 +387,24 @@ def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
 def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
                   mask_prompt: bool = False, worker=None) -> float:
     """Mean NLL over a list of examples, forward-only. With a worker, a
-    cost-balanced share of the batches runs there."""
+    cost-balanced share of the batches' length groups runs there."""
     if not examples:
         raise ValueError("evaluate_loss needs at least one example")
     pad = SpecialTokens.for_vocab(config.audio_vocab).pad
     batches = make_batches(examples, EVAL_TOKEN_BUDGET, seed=0, pad_id=pad)
-    costs = [sum(_pass_cost(b, rows) for rows in _length_groups(b.lengths.tolist()))
-             for b in batches]
+    items = [(batch, rows) for batch in batches for rows in _length_groups(batch.lengths.tolist())]
+    k = _split([_pass_cost(batch, rows) for batch, rows in items], worker)
+    if k:
+        worker.submit(_group_losses, items[:k], mask_prompt)
+    mine = _group_losses(items[k:], mask_prompt, params, config)
+    by_batch = {}
+    for (batch, _), part in zip(items, (worker.receive() if k else []) + mine):
+        by_batch.setdefault(id(batch), []).append(part)
     total_nll = 0.0
     total_count = 0
-    for value, count in _run_split("batches", batches, costs, worker, mask_prompt,
-                                   params=params, config=config):
-        total_nll += value * count
+    for parts in by_batch.values():  # each batch's mean, as batch_loss folds it
+        count = sum(n for _, n in parts)
+        total_nll += _weighted_sum([(Tensor(v), n) for v, n in parts], count).item() * count
         total_count += count
     return total_nll / total_count
 
@@ -406,12 +415,6 @@ def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
 
 #: seconds the main process waits for the worker's share before naming it hung
 _WORKER_TIMEOUT_S = 600.0
-
-#: fewest training steps that repay the worker's fork, its shutdown and the
-#: copy-on-write page faults that follow the fork: on two cores, with a
-#: 16-wide model, 2-step runs took 1.25 times as long with the worker and
-#: 8-step runs about as long
-_MIN_WORKER_STEPS = 10
 
 #: True or False forces the worker on or off; None lets _worker_wanted decide
 _force_worker = None
@@ -463,14 +466,12 @@ def _one_blas_thread():
         put(before)
 
 
-def _worker_wanted(blas_pinned: bool, total_steps: int) -> bool:
-    """A second process pays only with fork, two usable CPUs, one BLAS
-    thread per process (two spinning BLAS threads each would contend), and
-    steps enough to repay its start."""
+def _worker_wanted(blas_pinned: bool) -> bool:
+    """A second process pays only with fork, two usable CPUs and one BLAS
+    thread per process (two spinning BLAS threads each would contend)."""
     if _force_worker is not None:
         return _force_worker
-    return (blas_pinned and total_steps >= _MIN_WORKER_STEPS
-            and "fork" in multiprocessing.get_all_start_methods()
+    return (blas_pinned and "fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
@@ -489,16 +490,19 @@ def _share(params: ModelParams) -> None:
 
 
 def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
-    """The worker's loop: run each job the main process sends and send back
-    its result, or the exception it raised, until the pipe closes."""
+    """The worker's loop: call each function the main process sends, with
+    its arguments and the parameters, and send back the result or the
+    exception it raised, until the pipe closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
     while True:
         try:
-            job, args = conn.recv()
+            fn, args = conn.recv()
         except EOFError:
             return
+        if fn is None:  # no more calls
+            return
         try:
-            reply = ("ok", _JOBS[job](*args, params, config))
+            reply = ("ok", fn(*args, params, config))
         except Exception as err:  # raised again in the main process
             try:
                 pickle.loads(pickle.dumps(err))
@@ -509,7 +513,7 @@ def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
 
 
 class _Worker:
-    """One forked process that runs jobs on the parameters shared with it."""
+    """One forked process that runs functions on the parameters shared with it."""
 
     def __init__(self, params: ModelParams, config: ModelConfig):
         # fork, so the worker inherits the parameters' shared mapping and
@@ -518,9 +522,11 @@ class _Worker:
         self.conn, child = context.Pipe()
         self.process = context.Process(target=_serve, args=(child, params, config),
                                        daemon=True)
+        gc.freeze()  # so the worker's collections leave the inherited objects' pages shared
         try:
             self.process.start()
         finally:
+            gc.unfreeze()
             child.close()  # the worker's own end is then its only one, so its death reads as EOF
 
     def _gone(self) -> WorkerError:
@@ -528,14 +534,16 @@ class _Worker:
         return WorkerError(f"training worker (pid {self.process.pid}) exited with code "
                            f"{self.process.exitcode}")
 
-    def submit(self, job: str, *args) -> None:
+    def submit(self, fn, *args) -> None:
+        """Start fn(*args, params, config) there; fn must be a module-level
+        function, so that it pickles by name."""
         try:
-            self.conn.send((job, args))
+            self.conn.send((fn, args))
         except OSError:
             raise self._gone() from None
 
     def receive(self):
-        """The result of the job submitted last; raises what the job raised."""
+        """The result of the call submitted last; raises what the call raised."""
         if not self.conn.poll(_WORKER_TIMEOUT_S):
             raise WorkerError(f"training worker (pid {self.process.pid}) did not answer "
                               f"within {_WORKER_TIMEOUT_S:g} s")
@@ -547,6 +555,10 @@ class _Worker:
             raise payload
         return payload
 
+    def stop(self) -> None:
+        """Tell the process to exit once the calls submitted so far are done."""
+        self.submit(None)
+
     def close(self) -> None:
         self.process.terminate()
         self.process.join()
@@ -555,12 +567,12 @@ class _Worker:
 
 
 @contextlib.contextmanager
-def _training_worker(params: ModelParams, config: ModelConfig, total_steps: int):
+def _training_worker(params: ModelParams, config: ModelConfig):
     """Run the block with OpenBLAS on one thread, and with a running _Worker
     where _worker_wanted says one pays (else None). The worker is stopped and
     reaped, and the thread count restored, however the block ends."""
     with _one_blas_thread() as pinned:
-        worker = _Worker(params, config) if _worker_wanted(pinned, total_steps) else None
+        worker = _Worker(params, config) if _worker_wanted(pinned) else None
         try:
             yield worker
         finally:
@@ -601,7 +613,7 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     _share(params)
     state = OptimState.for_params(params)
 
-    with _training_worker(params, model_config, cfg.total_steps) as worker:
+    with _training_worker(params, model_config) as worker:
         init_train = evaluate_loss(train_ex[: min(len(train_ex), 200)], params, model_config,
                                    cfg.mask_prompt, worker)
         init_val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
@@ -623,8 +635,11 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
                                           specials.pad):
                     if step >= cfg.total_steps:
                         break
+                    last = step + 1 == cfg.total_steps
                     loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
-                                                 worker)
+                                                 worker, last)
+                    if last:  # the worker exits meanwhile; the final validation runs here
+                        worker = None
                     if not math.isfinite(loss_value):
                         raise DivergenceError(f"non-finite training loss at step {step}")
                     clip_gradients(params, cfg.clip_norm)

@@ -30,6 +30,32 @@ def test_save_load_save_is_byte_identical(tiny_model, tmp_path):
     assert path.read_bytes() == first
 
 
+def test_int_valued_float_field_of_an_older_header_loads_as_a_float(tiny_model, tmp_path):
+    # a config built from JSON ints wrote "rope_base":10000 before float fields
+    # were converted on load; such a file loads, and saves again as 10000.0
+    params, _ = tiny_model
+    older = ModelParams(params.tensors, ModelConfig(**dict(
+        vars(params.config), rope_base=10000, progress_scale=1)))
+    path = tmp_path / "older.pmrt"
+    save_checkpoint(path, older)
+    first = path.read_bytes()
+    assert b'"rope_base":10000,' in first and b'"progress_scale":1,' in first
+    loaded = load_checkpoint(path)
+    assert loaded.config == older.config
+    assert type(loaded.config.rope_base) is float and type(loaded.config.progress_scale) is float
+    save_checkpoint(path, loaded)
+
+    def record_and_tensors(blob):
+        (size,) = struct.unpack("<I", blob[8:12])
+        return blob[12:12 + size], blob[12 + size:]
+
+    record, tensors = record_and_tensors(path.read_bytes())
+    assert record == record_and_tensors(first)[0].replace(
+        b'"progress_scale":1,', b'"progress_scale":1.0,').replace(
+        b'"rope_base":10000,', b'"rope_base":10000.0,')
+    assert tensors == record_and_tensors(first)[1]
+
+
 class _HalfWriter:
     """File stand-in whose write stores half the bytes, then fails."""
 

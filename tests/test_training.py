@@ -350,10 +350,15 @@ class TestSplitSteps:
     """train()'s steps split a batch's length groups between the main process
     and a worker, and must leave batch_loss's loss and gradients bit for bit."""
 
+    @pytest.mark.parametrize("split", ["balanced", "all_but_one"])
     @pytest.mark.parametrize("mask_prompt", [False, True], ids=["prompt_scored", "prompt_masked"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_split_gradients_equal_batch_loss_bitwise(self, monkeypatch, dtype, mask_prompt):
+    def test_split_gradients_equal_batch_loss_bitwise(self, monkeypatch, dtype, mask_prompt,
+                                                      split):
         monkeypatch.setattr(training, "_force_worker", True)
+        if split == "all_but_one":  # several worker groups, whose order in the sum matters
+            monkeypatch.setattr(training, "_split",
+                                lambda costs, worker: len(costs) - 1 if worker else 0)
         examples = corpus_examples(small_corpus(n_train=40), SPLIT_MODEL)
         batches = [b for b in make_batches(examples, 512, seed=0,
                                            pad_id=SpecialTokens.for_vocab(64).pad)
@@ -361,36 +366,52 @@ class TestSplitSteps:
         assert len(batches) >= 2
         params = init_params(SPLIT_MODEL, seed=0, dtype=dtype)
         training._share(params)
-        with training._training_worker(params, SPLIT_MODEL, 1) as worker:
+        with training._training_worker(params, SPLIT_MODEL) as worker:
             assert worker is not None
             for batch in batches:
                 groups = training._length_groups(batch.lengths.tolist())
-                mine, theirs = training._split([training._pass_cost(batch, rows)
-                                                for rows in groups], worker)
-                assert mine and theirs
+                shared = training._split([training._pass_cost(batch, rows) for rows in groups],
+                                         worker)
+                assert 0 < shared < len(groups)
                 params.zero_grad()
                 with Tape() as tape:
                     want, _ = batch_loss(batch, params, SPLIT_MODEL, mask_prompt)
                 tape.backward(want)
                 want_grads = {n: t.grad.tobytes() for n, t in params.items()}
-                for split in (None, worker):
+                for split_with, last in ((None, False), (worker, False), (worker, True)):
                     params.zero_grad()
                     value = training._step_gradients(batch, params, SPLIT_MODEL, mask_prompt,
-                                                     split)
+                                                     split_with, last and batch is batches[-1])
                     assert np.asarray(value, dtype).tobytes() == want.data.tobytes()
                     for name, t in params.items():
                         assert t.grad.tobytes() == want_grads[name], name
+            worker.process.join(10)
+            assert worker.process.exitcode == 0  # told to exit once its last share was done
         assert multiprocessing.active_children() == []
+
+    def test_split_balances_cost_and_keeps_the_last_item(self):
+        assert training._split([5.0, 3.0, 1.0, 1.0], worker=object()) == 1
+        assert training._split([4.0, 4.0, 4.0, 4.0], worker=object()) == 2
+        assert training._split([1.0, 1.0, 1.0, 9.0], worker=object()) == 3
+        assert training._split([9.0], worker=object()) == 0
+        assert training._split([5.0, 3.0, 1.0, 1.0], worker=None) == 0
 
     def test_split_evaluation_equals_the_serial_one(self, monkeypatch):
         monkeypatch.setattr(training, "_force_worker", True)
         examples = corpus_examples(small_corpus(n_train=400), SPLIT_MODEL)
-        assert len(make_batches(examples, training.EVAL_TOKEN_BUDGET, seed=0,
-                                pad_id=SpecialTokens.for_vocab(64).pad)) >= 2
+        batches = make_batches(examples, training.EVAL_TOKEN_BUDGET, seed=0,
+                               pad_id=SpecialTokens.for_vocab(64).pad)
+        assert len(batches) >= 2
         params = init_params(SPLIT_MODEL, seed=0)
         training._share(params)
         serial = training.evaluate_loss(examples, params, SPLIT_MODEL, True)
-        with training._training_worker(params, SPLIT_MODEL, 1) as worker:
+        nll = count = 0
+        for batch in batches:  # the per-batch sum evaluate_loss made before the split
+            loss, n = batch_loss(batch, params, SPLIT_MODEL, True)
+            nll += loss.item() * n
+            count += n
+        assert serial == nll / count
+        with training._training_worker(params, SPLIT_MODEL) as worker:
             assert training.evaluate_loss(examples, params, SPLIT_MODEL, True, worker) == serial
 
     @pytest.mark.parametrize("mask_prompt", [True, False], ids=["prompt_masked", "prompt_scored"])
@@ -412,16 +433,14 @@ class TestSplitSteps:
 
 
 class TestWorker:
-    def test_worker_needs_two_cpus_one_blas_thread_and_steps(self, monkeypatch):
-        steps = training._MIN_WORKER_STEPS
+    def test_worker_needs_two_cpus_and_one_blas_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert training._worker_wanted(True, steps)
-        assert not training._worker_wanted(False, steps)
-        assert not training._worker_wanted(True, steps - 1)
+        assert training._worker_wanted(True)
+        assert not training._worker_wanted(False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not training._worker_wanted(True, steps)
+        assert not training._worker_wanted(True)
         monkeypatch.setattr(training, "_force_worker", True)
-        assert training._worker_wanted(False, 1)
+        assert training._worker_wanted(False)
 
     def test_blas_runs_on_one_thread_and_is_restored(self, monkeypatch):
         threads = training._openblas_threads()
@@ -466,7 +485,7 @@ class TestWorker:
         fused = training._fused_loss
 
         def hanging(*args):
-            if in_worker(main_pid):
+            if in_worker(main_pid) and nm._active.stack:  # in a training step's share
                 pid_file.write_text(str(os.getpid()))
                 time.sleep(60)
             return fused(*args)
