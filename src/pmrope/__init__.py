@@ -21,7 +21,6 @@ from .metrics import (
     wilson_interval,
 )
 from .model import (
-    EncoderOutput,
     ModelConfig,
     ModelParams,
     SpecialTokens,
@@ -30,7 +29,7 @@ from .model import (
     init_params,
 )
 from .numerics import Tape, Tensor
-from .positional import ProgressSchedule, RopeParams, apply_rope, progress_ids
+from .positional import RopeParams, progress_ids
 from .synthcorpus import (
     Corpus,
     CorpusConfig,

@@ -57,15 +57,9 @@ class RunConfig:
     model: ModelConfig
     train: TrainConfig
     corpus: CorpusConfig
-    sampler: SamplerConfig
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "corpus": CorpusConfig,
-    "sampler": SamplerConfig,
-}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "corpus": CorpusConfig}
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -114,7 +108,7 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
     corpus prompt has the same length, so a split is one batch. Per-utterance
     sampler seeds derive as base seed + index, so two configurations
     evaluated on the same split are exactly paired. Returns (reports,
-    scatter rows, per-utterance detail dict).
+    per-utterance detail dict).
     """
     alphabets = spec.style_alphabets()
     prompts = [prompt_for(utt, spec) for utt in utterances]
@@ -125,8 +119,7 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
     similarities = []
     target_seconds = []
     generated_seconds = []
-    rows = []
-    for i, (utt, prompt, result) in enumerate(zip(utterances, prompts, results)):
+    for utt, prompt, result in zip(utterances, prompts, results):
         error_rates.append(error_rate(utt.audio, result.tokens))
         if result.tokens:
             similarities.append(style_similarity(prompt, result.tokens, alphabets))
@@ -134,7 +127,6 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
             similarities.append(0.0)
         target_seconds.append(utt.duration_tokens / DEFAULT_FRAME_RATE)
         generated_seconds.append(result.generated_len / DEFAULT_FRAME_RATE)
-        rows.append((i, target_seconds[-1], generated_seconds[-1]))
     da = duration_accuracy(generated_seconds, target_seconds, DEFAULT_DA_MARGIN)
     successes = round(da * len(utterances))
     reports = [
@@ -148,7 +140,7 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
         "target_seconds": target_seconds,
         "generated_seconds": generated_seconds,
     }
-    return reports, rows, detail
+    return reports, detail
 
 
 def _write_reports(path, reports) -> None:
@@ -157,10 +149,11 @@ def _write_reports(path, reports) -> None:
         fh.write("\n")
 
 
-def _write_scatter(path, rows) -> None:
+def _write_scatter(path, detail) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("utterance,target_duration,generated_duration\n")
-        for idx, target, generated in rows:
+        pairs = zip(detail["target_seconds"], detail["generated_seconds"])
+        for idx, (target, generated) in enumerate(pairs):
             fh.write(f"{idx},{target:.6f},{generated:.6f}\n")
 
 
@@ -256,10 +249,10 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
     utterances = _test_slice(corpus, args.limit)
     sampler = SamplerConfig(seed=args.seed)
-    reports, rows, _ = evaluate_model(params, config, corpus.spec, utterances, sampler)
+    reports, detail = evaluate_model(params, config, corpus.spec, utterances, sampler)
     _write_reports(args.report, reports)
     scatter = args.scatter if args.scatter else str(args.report) + ".scatter.csv"
-    _write_scatter(scatter, rows)
+    _write_scatter(scatter, detail)
     for report in reports:
         print(f"{report.metric}: {report.mean:.4f} [{report.ci_low:.4f}, {report.ci_high:.4f}] "
               f"(n={report.n}, {report.method})")
@@ -275,8 +268,8 @@ def cmd_ablate(args) -> int:
     sampler = SamplerConfig(seed=args.seed)
     blocks = {}
     for label, enabled in (("pm_on", True), ("pm_off", False)):
-        reports, _, _ = evaluate_model(params, replace(config, pm_rope_enabled=enabled),
-                                       corpus.spec, utterances, sampler)
+        reports, _ = evaluate_model(params, replace(config, pm_rope_enabled=enabled),
+                                    corpus.spec, utterances, sampler)
         blocks[label] = {r.metric: asdict(r) for r in reports}
     deltas = {
         metric: blocks["pm_on"][metric]["mean"] - blocks["pm_off"][metric]["mean"]
@@ -339,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target-seconds", type=float, default=None)
     group.add_argument("--oracle-length", type=int, default=None)
     p.add_argument("--frame-rate", type=int, default=DEFAULT_FRAME_RATE)
-    p.add_argument("--top-k", type=int, default=30)
-    p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--temperature", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--top-k", type=int, default=SamplerConfig.top_k)
+    p.add_argument("--top-p", type=float, default=SamplerConfig.top_p)
+    p.add_argument("--temperature", type=float, default=SamplerConfig.temperature)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
     p.add_argument("--pm-rope", choices=("on", "off"), default=None)
     p.add_argument("--out", default=None, help="write result JSON here instead of stdout")
     p.set_defaults(func=cmd_generate)

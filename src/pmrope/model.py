@@ -20,9 +20,9 @@ from .numerics import ShapeError, Tensor, record_op
 from .positional import (
     DEFAULT_PROGRESS_SCALE,
     DEFAULT_ROPE_BASE,
-    ProgressSchedule,
     RopeParams,
     RopeTable,
+    progress_ids,
     rope_table,
     rotate_heads,
 )
@@ -59,7 +59,9 @@ class ModelConfig:
                 f"d_model {self.d_model} != n_heads {self.n_heads} * head_dim {self.head_dim}"
             )
         _rope_params(self.head_dim, self.rope_base)  # even head_dim, finite rope_base > 1
-        ProgressSchedule(1, self.progress_scale)  # finite progress_scale >= 0
+        if not 0.0 <= self.progress_scale < math.inf:  # NaN fails this too
+            raise ValueError(
+                f"progress_scale must be finite and nonnegative, got {self.progress_scale}")
 
     @property
     def audio_vocab_ext(self) -> int:
@@ -129,12 +131,6 @@ class SpecialTokens:
             silence=audio_vocab + 3,
             separator=audio_vocab + 4,
         )
-
-
-@dataclass
-class EncoderOutput:
-    states: Tensor  # [T, d_model]
-    length: int
 
 
 class ModelParams:
@@ -428,34 +424,32 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     return nm.matmul(nm.gelu(nm.matmul(h, params["head.w1"])), params["head.w2"])
 
 
-def encode(text_tokens, params: ModelParams, config: ModelConfig) -> EncoderOutput:
-    """Bidirectional encoding of a text token sequence."""
+def encode(text_tokens, params: ModelParams, config: ModelConfig) -> Tensor:
+    """Bidirectional encoding of a text token sequence -> [T, d_model] states."""
     states, _ = encode_batch([text_tokens], params, config)
-    T = states.data.shape[1]
-    return EncoderOutput(states=nm.reshape(states, (T, config.d_model)), length=T)
+    return nm.reshape(states, states.data.shape[1:])
 
 
-def decoder_forward(audio_tokens, enc_out: EncoderOutput, schedule_dec: ProgressSchedule,
-                    schedule_enc: ProgressSchedule, params: ModelParams,
+def decoder_forward(audio_tokens, enc_states: Tensor, total_len: int, params: ModelParams,
                     config: ModelConfig) -> Tensor:
     """Causal decoding pass over an audio token stream; returns [S, V+5] logits.
 
-    The stream may outgrow the decoder schedule (over-generation up to the
-    length cap), in which case progress IDs extrapolate past the scale.
+    enc_states are encode's [T, d_model] states. Decoder progress runs over
+    total_len positions and encoder progress over the T encoder states. The
+    stream may outgrow total_len (over-generation up to the length cap), in
+    which case progress IDs extrapolate past the scale.
     """
     tokens = np.asarray(audio_tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("decoder input must be a nonempty token sequence")
     if tokens.min() < 0 or tokens.max() >= config.audio_vocab_ext:
         raise ValueError(f"audio token outside [0, {config.audio_vocab_ext})")
-    S = tokens.size
-    if schedule_enc.total_len != enc_out.length:
-        raise ValueError(
-            f"encoder schedule length {schedule_enc.total_len} != encoder length {enc_out.length}"
-        )
-    dec_progress = schedule_dec.position_ids(S)
-    enc_progress = schedule_enc.position_ids()
-    states = nm.reshape(enc_out.states, (1, enc_out.length, config.d_model))
-    logits = decoder_batch(tokens[None, :], states, None, dec_progress[None, :],
-                           enc_progress[None, :], params, config)
+    if total_len < 1:
+        raise ValueError(f"total_len must be positive, got {total_len}")
+    S, T = tokens.size, enc_states.data.shape[0]
+    dec_progress = progress_ids([total_len], S, config.progress_scale)
+    enc_progress = progress_ids([T], T, config.progress_scale)
+    states = nm.reshape(enc_states, (1,) + enc_states.data.shape)
+    logits = decoder_batch(tokens[None, :], states, None, dec_progress, enc_progress,
+                           params, config)
     return nm.reshape(logits, (S, config.audio_vocab_ext))

@@ -49,34 +49,11 @@ class RopeParams:
         object.__setattr__(self, "frequencies", frequencies)
 
 
-@dataclass(frozen=True)
-class ProgressSchedule:
-    """Affine map from token index to a progress position ID.
-
-    scale must be finite; it may be 0, which pins every position to 0 and
-    thereby disables the rotation entirely (the reference point for the on/off
-    comparison).
-    """
-
-    total_len: int
-    scale: float = DEFAULT_PROGRESS_SCALE
-
-    def __post_init__(self):
-        if self.total_len < 1:
-            raise ValueError(f"total_len must be positive, got {self.total_len}")
-        if not 0.0 <= self.scale < math.inf:
-            raise ValueError(f"progress_scale must be finite and nonnegative, got {self.scale}")
-
-    def position_ids(self, n: int | None = None) -> np.ndarray:
-        """Progress IDs for indices 0..n-1 (default n = total_len): the one
-        row of progress_ids for this schedule."""
-        return progress_ids([self.total_len], self.total_len if n is None else n, self.scale)[0]
-
-
 def progress_ids(total_lens, n: int, scale: float) -> np.ndarray:
     """[rows, n] progress IDs, one row per total length L in total_lens:
     index j maps to j/(L-1) * scale, and every index to 0 when L == 1 (a
-    single token counts as "start").
+    single token counts as "start"). A scale of 0 pins every ID at 0, which
+    leaves the rotation an identity.
 
     Past L the affine map extrapolates beyond the scale; the decoder needs
     this when generation overshoots the target length.
@@ -85,20 +62,6 @@ def progress_ids(total_lens, n: int, scale: float) -> np.ndarray:
     ids = np.arange(n, dtype=np.float64) / np.maximum(lens - 1, 1) * scale
     ids[lens[:, 0] == 1] = 0.0
     return ids
-
-
-def apply_rope(v, position: float, params: RopeParams):
-    """Rotate consecutive pairs of a head_dim vector by position * frequency.
-
-    Norm-preserving; position may be fractional. One row of one head through
-    rotate_heads; the result keeps a floating input's dtype.
-    """
-    arr = np.asarray(v)
-    if arr.shape != (params.head_dim,):
-        raise ShapeError(f"vector shape {arr.shape} does not match head_dim {params.head_dim}")
-    x = Tensor(arr[None, :])
-    table = rope_table(np.array([position], dtype=np.float64), params, 1, x.data.dtype)
-    return rotate_heads(x, table).data[0]
 
 
 class RopeTable(NamedTuple):

@@ -416,9 +416,6 @@ def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
 #: seconds the main process waits for the worker's share before naming it hung
 _WORKER_TIMEOUT_S = 600.0
 
-#: True or False forces the worker on or off; None lets _worker_wanted decide
-_force_worker = None
-
 
 class WorkerError(RuntimeError):
     """Raised when the training worker process dies or stops answering."""
@@ -430,9 +427,10 @@ class WorkerError(RuntimeError):
 
 def _openblas_threads():
     """The (get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None when none is found."""
+    process, or None when none is found. A mapped path need not be UTF-8:
+    its undecodable bytes pass through as surrogates, which CDLL encodes back."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
             paths = [line.split()[-1] for line in fh]
         path = next((p for p in paths if "openblas" in p.lower() and ".so" in p), None)
         lib = ctypes.CDLL(path) if path is not None else None
@@ -469,8 +467,6 @@ def _one_blas_thread():
 def _worker_wanted(blas_pinned: bool) -> bool:
     """A second process pays only with fork, two usable CPUs and one BLAS
     thread per process (two spinning BLAS threads each would contend)."""
-    if _force_worker is not None:
-        return _force_worker
     return (blas_pinned and "fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 

@@ -15,7 +15,6 @@ import numpy as np
 from pmrope import numerics as nm
 from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult
 from pmrope.model import SpecialTokens, decoder_forward, encode
-from pmrope.positional import ProgressSchedule
 
 
 def finite_diff_grad(loss_fn, tensor, eps=1e-5):
@@ -120,10 +119,8 @@ def _example_loss(ex, params, config, mask_prompt):
     plus the number of positions in the mean."""
     inputs = ex.stream[:-1]
     targets = ex.stream[1:]
-    enc_out = encode(ex.text, params, config)
-    sched_dec = ProgressSchedule(len(inputs), config.progress_scale)
-    sched_enc = ProgressSchedule(enc_out.length, config.progress_scale)
-    logits = decoder_forward(inputs, enc_out, sched_dec, sched_enc, params, config)
+    logits = decoder_forward(inputs, encode(ex.text, params, config), len(inputs), params,
+                             config)
     mask = np.ones(len(targets), dtype=bool)
     if mask_prompt:
         mask[: ex.prompt_len + 1] = False  # predictions of prompt tokens and separator
@@ -149,17 +146,16 @@ def generate_rescan(text_tokens, prompt_audio_tokens, target_len, params, config
     """decoding.generate without a cache: every step reruns decoder_forward over
     the whole stream and samples from its last row with sample_row."""
     specials = SpecialTokens.for_vocab(config.audio_vocab)
-    enc_out = encode(text_tokens, params, config)
+    enc_states = encode(text_tokens, params, config)
     stream = [specials.bos, *(int(t) for t in prompt_audio_tokens), specials.separator]
-    schedule_dec = ProgressSchedule(len(stream) + target_len, config.progress_scale)
-    schedule_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+    total_len = len(stream) + target_len
     cap = math.ceil(LENGTH_CAP_FACTOR * target_len)
     rng = np.random.default_rng(sampler.seed)
     blocked = [specials.pad, specials.separator, specials.bos]
 
     generated = []
     while True:
-        logits = decoder_forward(stream, enc_out, schedule_dec, schedule_enc, params, config)
+        logits = decoder_forward(stream, enc_states, total_len, params, config)
         row = logits.data[-1].astype(np.float64)
         row[blocked] = -np.inf
         token = sample_row(row, sampler, rng)

@@ -22,8 +22,8 @@ from pmrope.decoding import SamplerConfig
 from pmrope.duration import estimate_from_rate, estimate_from_reference, target_token_count
 from pmrope.metrics import bootstrap_ci, error_rate, pearson_r, wilson_interval
 from pmrope.model import ModelConfig, decoder_forward, encode, init_params
-from pmrope.numerics import Tape
-from pmrope.positional import ProgressSchedule, RopeParams, apply_rope
+from pmrope.numerics import Tape, Tensor
+from pmrope.positional import RopeParams, rope_table, rotate_heads
 from pmrope.synthcorpus import CorpusConfig, generate_corpus, save_corpus
 from pmrope.training import TrainConfig, clip_gradients, lr_at, train
 
@@ -54,14 +54,15 @@ def test_criterion_1_gradient_correctness():
     text = [1, 5, 2]
     stream = [16, 3, 1, 20, 7, 2, 11, 4]
     targets = list(stream[1:]) + [17]
-    sched = ProgressSchedule(len(stream)), ProgressSchedule(len(text))
 
     def loss_fn():
-        logits = decoder_forward(stream, encode(text, params, config), *sched, params, config)
+        logits = decoder_forward(stream, encode(text, params, config), len(stream), params,
+                                 config)
         return nm.cross_entropy(logits, targets).item()
 
     with Tape() as tape:
-        logits = decoder_forward(stream, encode(text, params, config), *sched, params, config)
+        logits = decoder_forward(stream, encode(text, params, config), len(stream), params,
+                                 config)
         loss = nm.cross_entropy(logits, targets)
     tape.backward(loss)
 
@@ -82,6 +83,13 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_shift_invariance():
     params = RopeParams(head_dim=16)
+
+    def rotate(v, positions):
+        """v rotated at each position as the model rotates it: one rope_table,
+        then rotate_heads over a single head."""
+        table = rope_table(positions, params, 1, v.dtype)
+        return rotate_heads(Tensor(np.stack([v] * len(positions))), table).data
+
     results = {}
     for dtype, tolerance in ((np.float32, 1e-6), (np.float64, 1e-10)):
         rng = np.random.default_rng(2)
@@ -92,8 +100,8 @@ def test_criterion_2_shift_invariance():
             a, b = rng.uniform(0, 2000, 2)
             c = rng.uniform(-1000, 1000)
             # attention logits q.k / sqrt(head_dim), taken in float64
-            qa, qc = (apply_rope(q, p, params).astype(np.float64) for p in (a, a + c))
-            kb, kc = (apply_rope(k, p, params).astype(np.float64) for p in (b, b + c))
+            qa, qc = rotate(q, [a, a + c]).astype(np.float64)
+            kb, kc = rotate(k, [b, b + c]).astype(np.float64)
             worst = max(worst, abs(qa @ kb / math.sqrt(16) - qc @ kc / math.sqrt(16)))
         results[np.dtype(dtype).name] = (worst, tolerance)
     passed = all(worst <= tol for worst, tol in results.values())
@@ -114,10 +122,9 @@ def test_criterion_3_zero_rotation_equivalence():
         text = rng.integers(0, config.text_vocab, 5)
         stream = rng.integers(0, config.audio_vocab_ext, 11)
         enc = encode(text, params, config)
-        off = decoder_forward(stream, enc, ProgressSchedule(11), ProgressSchedule(5),
-                              params, replace(config, pm_rope_enabled=False))
-        on_zero = decoder_forward(stream, enc, ProgressSchedule(11, 0.0), ProgressSchedule(5, 0.0),
-                                  params, replace(config, pm_rope_enabled=True))
+        off = decoder_forward(stream, enc, 11, params, replace(config, pm_rope_enabled=False))
+        on_zero = decoder_forward(stream, enc, 11, params,
+                                  replace(config, pm_rope_enabled=True, progress_scale=0.0))
         identical += bool(np.all(off.data == on_zero.data))
     report(3, "disabled rotation == zero progress IDs, bitwise", identical == 10,
            f"{identical}/10 models identical")
@@ -264,8 +271,8 @@ def test_criterion_7_configuration_analysis(reference_run, tmp_path):
     outcomes = {}
     for pm_enabled in (True, False):
         config = replace(REFERENCE_MODEL, pm_rope_enabled=pm_enabled)
-        reports, _, detail = evaluate_model(params, config, corpus.spec, corpus.test,
-                                            SamplerConfig(seed=0))
+        reports, detail = evaluate_model(params, config, corpus.spec, corpus.test,
+                                         SamplerConfig(seed=0))
         outcomes[pm_enabled] = {
             "error_rate": reports[0].mean,
             "style_similarity": reports[1].mean,

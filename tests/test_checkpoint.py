@@ -17,7 +17,6 @@ from pmrope.checkpoint import (
 from pmrope.cli import main
 from pmrope.model import ModelConfig, ModelParams, decoder_forward, encode, init_params
 from pmrope.numerics import Tensor
-from pmrope.positional import ProgressSchedule
 
 
 def test_save_load_save_is_byte_identical(tiny_model, tmp_path):
@@ -116,9 +115,8 @@ def test_loaded_model_reproduces_logits(tiny_model, tmp_path):
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
     stream = [8, 1, 2, 3]
-    sched = ProgressSchedule(4), ProgressSchedule(2)
-    a = decoder_forward(stream, encode([1, 2], params, config), *sched, params, config)
-    b = decoder_forward(stream, encode([1, 2], loaded, loaded.config), *sched, loaded, loaded.config)
+    a = decoder_forward(stream, encode([1, 2], params, config), 4, params, config)
+    b = decoder_forward(stream, encode([1, 2], loaded, loaded.config), 4, loaded, loaded.config)
     assert np.array_equal(a.data, b.data)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pmrope import decoding, numerics, training
 from pmrope.checkpoint import load_checkpoint
-from pmrope.cli import _SECTIONS, ConfigError, evaluate_model, load_run_config, main
+from pmrope.cli import _SECTIONS, ConfigError, build_parser, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.synthcorpus import load_corpus
@@ -69,7 +69,6 @@ class TestRunConfig:
         assert cfg.model.d_model == 64
         assert cfg.train.peak_lr == 1e-4
         assert cfg.corpus.n_train == 4000
-        assert cfg.sampler.top_k == 30
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -81,6 +80,13 @@ class TestRunConfig:
         path.write_text(json.dumps({"modle": {}}))
         with pytest.raises(ConfigError, match="modle"):
             load_run_config(str(path))
+
+    def test_sampler_section_rejected(self, tmp_path, capsys):
+        # no command that reads --config samples; generate takes flags
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"sampler": {"top_k": 30}}))
+        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert "unknown config key 'sampler'" in capsys.readouterr().err
 
     def test_unknown_section_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -121,7 +127,7 @@ class TestRunConfig:
         assert isinstance(cfg.train.peak_lr, float)
 
     @pytest.mark.parametrize("section, key", [("model", "rope_base"), ("model", "progress_scale"),
-                                              ("train", "peak_lr"), ("sampler", "temperature")])
+                                              ("train", "peak_lr")])
     def test_int_past_the_float_range_exits_2(self, tmp_path, capsys, section, key):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({section: {key: 10 ** 400}}))
@@ -343,7 +349,7 @@ class TestTrainCommand:
 
     def test_killed_worker_exits_3_and_keeps_the_checkpoint(self, tmp_path, run_config_path,
                                                             corpus_dir, capsys, monkeypatch):
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
@@ -379,6 +385,12 @@ class TestTrainCommand:
 
 
 class TestGenerateCommand:
+    def test_sampling_flags_default_to_sampler_config(self):
+        args = build_parser().parse_args(["generate", "--checkpoint", "m.pmrt", "--text", "1",
+                                          "--oracle-length", "4"])
+        assert SamplerConfig(args.top_k, args.top_p, args.temperature, args.seed) == \
+            SamplerConfig()
+
     def test_target_seconds_maps_to_tokens_at_50hz(self, checkpoint, tmp_path, capsys):
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1,2",
                      "--target-seconds", "2.0", "--seed", "5"])
@@ -495,7 +507,7 @@ class TestEvalCommand:
         with open(scatter_path) as fh:
             assert fh.readline().strip() == "utterance,target_duration,generated_duration"
             rows = fh.readlines()
-        assert len(rows) == 6  # one per test utterance
+        assert [int(row.split(",")[0]) for row in rows] == list(range(6))  # one per utterance
 
     def test_rerun_is_byte_identical(self, checkpoint, corpus_dir, tmp_path):
         outputs = []

@@ -18,7 +18,7 @@ from pmrope.decoding import (
 )
 from pmrope.model import DecoderCache, SpecialTokens, decoder_batch, decoder_forward, encode
 from pmrope.numerics import ShapeError, Tensor
-from pmrope.positional import ProgressSchedule
+from pmrope.positional import progress_ids
 
 
 def sample_many(logits, cfg, n=500, seed=0):
@@ -214,13 +214,13 @@ def cached_passes(text, prompt, target_len, generated, params, config, cache):
     bos + prompt + separator, then one pass per generated token. Yields the
     stream and each pass's (start, end, logits)."""
     specials = SpecialTokens.for_vocab(config.audio_vocab)
-    enc_out = encode(text, params, config)
+    enc_states = encode(text, params, config)
     prefix = [specials.bos, *prompt, specials.separator]
     stream = prefix + list(generated)
-    dec_progress = ProgressSchedule(len(prefix) + target_len, config.progress_scale) \
-        .position_ids(len(stream))[None, :]
-    enc_progress = ProgressSchedule(enc_out.length, config.progress_scale).position_ids()[None, :]
-    states = Tensor(enc_out.states.data[None])
+    T = enc_states.shape[0]
+    dec_progress = progress_ids([len(prefix) + target_len], len(stream), config.progress_scale)
+    enc_progress = progress_ids([T], T, config.progress_scale)
+    states = Tensor(enc_states.data[None])
     bounds = [(0, len(prefix))] + [(j, j + 1) for j in range(len(prefix), len(stream))]
     for start, end in bounds:
         logits = decoder_batch(np.array([stream[start:end]]), states, None,
@@ -248,13 +248,11 @@ class TestIncrementalDecoding:
         generated = np.random.default_rng(len(prompt) + target_len).integers(
             0, config.audio_vocab, size=cap - 1)
         text = [1, 2, 3]
-        enc_out = encode(text, params, config)
-        schedule_dec = ProgressSchedule(len(prompt) + 2 + target_len, config.progress_scale)
-        schedule_enc = ProgressSchedule(enc_out.length, config.progress_scale)
+        enc_states = encode(text, params, config)
         cache = DecoderCache()
         for stream, start, end, logits in cached_passes(text, prompt, target_len, generated,
                                                         params, config, cache):
-            full = decoder_forward(stream[:end], enc_out, schedule_dec, schedule_enc,
+            full = decoder_forward(stream[:end], enc_states, len(prompt) + 2 + target_len,
                                    params, config)
             assert np.abs(logits - full.data[start:end]).max() <= tol, (start, end)
             assert cache.length == end  # advanced once per pass, by the pass's width
@@ -284,11 +282,9 @@ class TestIncrementalDecoding:
                    rng.integers(0, config.audio_vocab, size=16).tolist()
                    for p in rng.integers(0, config.audio_vocab, size=3)]
         encoded = [encode(text, params, config) for text in texts]
-        schedules = [(ProgressSchedule(3 + target, config.progress_scale),
-                      ProgressSchedule(3, config.progress_scale)) for target in targets]
-        progress = np.stack([dec.position_ids(19) for dec, _ in schedules])
-        states = Tensor(np.stack([enc.states.data for enc in encoded]))
-        enc_progress = np.stack([enc.position_ids() for _, enc in schedules])
+        progress = progress_ids([3 + target for target in targets], 19, config.progress_scale)
+        states = Tensor(np.stack([enc.data for enc in encoded]))
+        enc_progress = progress_ids([3, 3, 3], 3, config.progress_scale)
         rows = [0, 1, 2]  # the row each cache row decodes
         cache = DecoderCache()
         keys = None
@@ -303,7 +299,7 @@ class TestIncrementalDecoding:
                                    enc_progress[rows], params, config, cache).data
             assert cache.length == end
             for row, r in enumerate(rows):
-                full = decoder_forward(streams[r][:end], encoded[r], *schedules[r],
+                full = decoder_forward(streams[r][:end], encoded[r], 3 + targets[r],
                                        params, config).data
                 assert np.abs(logits[row] - full[start:end]).max() <= tol, (start, r)
             new_keys = cache._buffers["dec.0.self"][0]
@@ -407,12 +403,8 @@ class TestLockstepDecoding:
                     text, prompt, target_len = self.LOCKSTEP[i]
                     prefix = [specials.bos, *prompt, specials.separator]
                     stream = prefix + results[i].tokens[:k]
-                    enc_out = encode(text, params, config)
-                    full = decoder_forward(
-                        stream, enc_out,
-                        ProgressSchedule(len(prefix) + target_len, config.progress_scale),
-                        ProgressSchedule(enc_out.length, config.progress_scale),
-                        params, config).data
+                    full = decoder_forward(stream, encode(text, params, config),
+                                           len(prefix) + target_len, params, config).data
                     want = full if k == 0 else full[-1:]
                     assert np.abs(logits[row] - want).max() <= tol, (seed, k, i)
         assert reasons == {"eos", "length_cap"}

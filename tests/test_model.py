@@ -20,11 +20,7 @@ from pmrope.model import (
 )
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.numerics import Tape, Tensor
-from pmrope.positional import ProgressSchedule
-
-
-def schedules(stream_len, text_len, scale=2000.0):
-    return ProgressSchedule(stream_len, scale), ProgressSchedule(text_len, scale)
+from pmrope.positional import progress_ids
 
 
 class TestConfig:
@@ -38,6 +34,7 @@ class TestConfig:
         ({"rope_base": math.nan}, "rope_base"),
         ({"progress_scale": math.nan}, "progress_scale"),
         ({"progress_scale": -1.0}, "progress_scale"),
+        ({"progress_scale": math.inf}, "progress_scale"),
     ])
     def test_rotation_fields_checked_at_construction(self, values, field):
         with pytest.raises(ValueError, match=field):
@@ -70,7 +67,7 @@ class TestInitParams:
         rng = np.random.default_rng(0)
         stream = rng.integers(0, config.audio_vocab, 40)
         enc = encode(rng.integers(0, config.text_vocab, 5), params, config)
-        logits = decoder_forward(stream, enc, *schedules(40, 5), params, config)
+        logits = decoder_forward(stream, enc, 40, params, config)
         targets = rng.integers(0, config.audio_vocab, 40)
         loss = nm.cross_entropy(logits, targets).item()
         assert abs(loss - math.log(config.audio_vocab_ext)) / math.log(config.audio_vocab_ext) <= 0.15
@@ -79,21 +76,19 @@ class TestInitParams:
 class TestEncode:
     def test_output_shape(self, tiny_model):
         params, config = tiny_model
-        out = encode([0, 1, 2, 3], params, config)
-        assert out.states.shape == (4, config.d_model)
-        assert out.length == 4
+        assert encode([0, 1, 2, 3], params, config).shape == (4, config.d_model)
 
     def test_token_permutation_changes_output(self, tiny_model):
         params, config = tiny_model
-        a = encode([1, 2, 3, 4], params, config).states.data
-        b = encode([2, 1, 3, 4], params, config).states.data
+        a = encode([1, 2, 3, 4], params, config).data
+        b = encode([2, 1, 3, 4], params, config).data
         assert not np.allclose(a, b)
 
     def test_single_token_input(self, tiny_model):
         params, config = tiny_model
         out = encode([3], params, config)
-        assert out.length == 1
-        assert np.all(np.isfinite(out.states.data))
+        assert out.shape == (1, config.d_model)
+        assert np.all(np.isfinite(out.data))
 
     def test_empty_input_rejected(self, tiny_model):
         params, config = tiny_model
@@ -110,59 +105,71 @@ class TestDecoderForward:
     def test_logits_shape_is_extended_vocab(self, tiny_model):
         params, config = tiny_model
         enc = encode([1, 2], params, config)
-        logits = decoder_forward([0, 1, 2], enc, *schedules(3, 2), params, config)
+        logits = decoder_forward([0, 1, 2], enc, 3, params, config)
         assert logits.shape == (3, config.audio_vocab + 5)
 
     def test_causality_by_perturbation(self, tiny_model):
         params, config = tiny_model
         enc = encode([1, 2, 3], params, config)
         stream = [8, 1, 2, 3, 4, 5]
-        base = decoder_forward(stream, enc, *schedules(6, 3), params, config).data
+        base = decoder_forward(stream, enc, 6, params, config).data
         for t in range(1, 6):
             perturbed = list(stream)
             perturbed[t] = (perturbed[t] + 1) % config.audio_vocab
-            out = decoder_forward(perturbed, enc, *schedules(6, 3), params, config).data
+            out = decoder_forward(perturbed, enc, 6, params, config).data
             assert np.array_equal(out[:t], base[:t])
             assert not np.allclose(out[t:], base[t:])
 
     def test_inference_may_overflow_schedule(self, tiny_model):
         params, config = tiny_model
         enc = encode([1], params, config)
-        out = decoder_forward([0, 1, 2, 3], enc, ProgressSchedule(3), ProgressSchedule(1),
-                              params, config)
+        out = decoder_forward([0, 1, 2, 3], enc, 3, params, config)
         assert np.all(np.isfinite(out.data))
+
+    def test_progress_is_progress_ids_of_total_len_and_encoder_length(self, tiny_model):
+        # a prefix of a longer stream, as decoding runs it
+        params, config = tiny_model
+        enc = encode([1, 2, 3], params, config)
+        stream = [8, 1, 2, 3]
+        got = decoder_forward(stream, enc, 10, params, config)
+        want = decoder_batch(np.array([stream]), nm.reshape(enc, (1, 3, config.d_model)), None,
+                             progress_ids([10], 4, config.progress_scale),
+                             progress_ids([3], 3, config.progress_scale), params, config)
+        assert got.data.tobytes() == want.data[0].tobytes()
+        assert not np.allclose(got.data, decoder_forward(stream, enc, 4, params, config).data)
+
+    def test_total_len_must_be_positive(self, tiny_model):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match="total_len"):
+            decoder_forward([0], encode([1], params, config), 0, params, config)
 
     def test_token_out_of_range(self, tiny_model):
         params, config = tiny_model
         enc = encode([1], params, config)
         with pytest.raises(ValueError, match="audio token"):
-            decoder_forward([config.audio_vocab_ext], enc, ProgressSchedule(1),
-                            ProgressSchedule(1), params, config)
+            decoder_forward([config.audio_vocab_ext], enc, 1, params, config)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_disabled_rotation_equals_zero_progress_bitwise(self, tiny_config, seed):
-        from dataclasses import replace
-
         params = init_params(tiny_config, seed=seed)
         rng = np.random.default_rng(seed)
         text = rng.integers(0, tiny_config.text_vocab, 4)
         stream = rng.integers(0, tiny_config.audio_vocab_ext, 9)
         enc = encode(text, params, tiny_config)
 
-        cfg_on = replace(tiny_config, pm_rope_enabled=True)
+        cfg_on_zero = replace(tiny_config, pm_rope_enabled=True, progress_scale=0.0)
         cfg_off = replace(tiny_config, pm_rope_enabled=False)
-        zero_dec, zero_enc = ProgressSchedule(9, 0.0), ProgressSchedule(4, 0.0)
-        on_zero = decoder_forward(stream, enc, zero_dec, zero_enc, params, cfg_on)
-        off = decoder_forward(stream, enc, *schedules(9, 4), params, cfg_off)
+        on_zero = decoder_forward(stream, enc, 9, params, cfg_on_zero)
+        off = decoder_forward(stream, enc, 9, params, cfg_off)
         assert np.all(on_zero.data == off.data)
 
     def test_rotation_changes_logits_when_enabled(self, tiny_model):
         params, config = tiny_model
         enc = encode([1, 2, 3], params, config)
         stream = [8, 1, 2, 3]
-        with_progress = decoder_forward(stream, enc, *schedules(4, 3), params, config).data
-        zeroed = decoder_forward(stream, enc, ProgressSchedule(4, 0.0),
-                                 ProgressSchedule(3, 0.0), params, config).data
+        with_progress = decoder_forward(stream, enc, 4, params, config).data
+        zeroed = decoder_forward(stream, enc, 4, params,
+                                 replace(config, progress_scale=0.0)).data
         assert not np.allclose(with_progress, zeroed)
 
     def test_text_conditioning_is_live(self, tiny_config):
@@ -170,10 +177,10 @@ class TestDecoderForward:
         for seed in range(10):
             params = init_params(tiny_config, seed=100 + seed)
             stream = [8, 1, 2, 3, 4]
-            a = decoder_forward(stream, encode([1, 2, 3], params, tiny_config),
-                                *schedules(5, 3), params, tiny_config).data
-            b = decoder_forward(stream, encode([1, 2, 4], params, tiny_config),
-                                *schedules(5, 3), params, tiny_config).data
+            a = decoder_forward(stream, encode([1, 2, 3], params, tiny_config), 5,
+                                params, tiny_config).data
+            b = decoder_forward(stream, encode([1, 2, 4], params, tiny_config), 5,
+                                params, tiny_config).data
             if not np.allclose(a, b):
                 changed += 1
         assert changed == 10
@@ -227,14 +234,12 @@ class TestEndToEndGradients:
 
         def loss_fn():
             enc = encode(text, params, config)
-            logits = decoder_forward(stream, enc, *schedules(len(stream), len(text)),
-                                     params, config)
+            logits = decoder_forward(stream, enc, len(stream), params, config)
             return nm.cross_entropy(logits, targets).item()
 
         with Tape() as tape:
             enc = encode(text, params, config)
-            logits = decoder_forward(stream, enc, *schedules(len(stream), len(text)),
-                                     params, config)
+            logits = decoder_forward(stream, enc, len(stream), params, config)
             loss = nm.cross_entropy(logits, targets)
         tape.backward(loss)
 

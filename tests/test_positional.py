@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 from oracles import finite_diff_grad, max_rel_err, rope_complex_reference, rotate_pairs_reference
 from pmrope import numerics as nm
 from pmrope.numerics import ShapeError, Tape, Tensor
-from pmrope.positional import (
-    ProgressSchedule,
-    RopeParams,
-    apply_rope,
-    progress_ids,
-    rope_table,
-    rotate_heads,
-)
+from pmrope.positional import RopeParams, progress_ids, rope_table, rotate_heads
+
+
+def rotate(v, positions, params):
+    """v, one [head_dim] vector or [n, head_dim] rows, rotated at positions
+    ([n]) as the model rotates: one rope_table, then rotate_heads over a
+    single head. Keeps v's dtype."""
+    positions = np.asarray(positions, dtype=np.float64)
+    rows = np.broadcast_to(v, positions.shape + (params.head_dim,))
+    return rotate_heads(Tensor(rows), rope_table(positions, params, 1, rows.dtype)).data
 
 
 class TestRopeParams:
@@ -34,21 +36,23 @@ class TestRopeParams:
 
 
 class TestProgressSchedule:
+    """The progress IDs of one sequence: one row of progress_ids."""
+
     def test_left_endpoint(self):
-        assert ProgressSchedule(100, 2000.0).position_ids()[0] == 0.0
+        assert progress_ids([100], 100, 2000.0)[0, 0] == 0.0
 
     def test_right_endpoint_hits_scale(self):
-        assert ProgressSchedule(100, 2000.0).position_ids()[99] == 2000.0
+        assert progress_ids([100], 100, 2000.0)[0, 99] == 2000.0
 
     def test_midpoint(self):
-        assert ProgressSchedule(101, 2000.0).position_ids()[50] == 1000.0
+        assert progress_ids([101], 101, 2000.0)[0, 50] == 1000.0
 
     def test_single_token_maps_to_zero(self):
-        assert np.array_equal(ProgressSchedule(1, 2000.0).position_ids(), [0.0])
+        assert np.array_equal(progress_ids([1], 1, 2000.0), [[0.0]])
 
     @pytest.mark.parametrize("total_len", [2, 3, 17, 400])
     def test_endpoint_pinning_for_any_length(self, total_len):
-        ids = ProgressSchedule(total_len, 2000.0).position_ids()
+        ids = progress_ids([total_len], total_len, 2000.0)[0]
         assert ids.shape == (total_len,) and ids[-1] == 2000.0
         assert np.all(np.diff(ids) > 0)
         # affine: constant second difference
@@ -56,16 +60,12 @@ class TestProgressSchedule:
             assert np.allclose(np.diff(ids, n=2), 0.0, atol=1e-9)
 
     def test_overflow_extrapolates_past_scale(self):
-        ids = ProgressSchedule(5, 2000.0).position_ids(7)
+        ids = progress_ids([5], 7, 2000.0)[0]
         assert ids[-1] > 2000.0
         assert np.allclose(np.diff(ids), 500.0)
 
     def test_zero_scale_pins_everything_at_zero(self):
-        assert np.array_equal(ProgressSchedule(9, 0.0).position_ids(), np.zeros(9))
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            ProgressSchedule(4, -1.0)
+        assert np.array_equal(progress_ids([9], 9, 0.0), np.zeros((1, 9)))
 
 
 class TestProgressIds:
@@ -82,37 +82,37 @@ class TestProgressIds:
             else:
                 expected = np.arange(n, dtype=np.float64) / (total_len - 1) * scale
             assert np.array_equal(row, expected)
-            assert np.array_equal(ProgressSchedule(total_len, scale).position_ids(n), expected)
+            assert np.array_equal(progress_ids([total_len], n, scale)[0], expected)
 
 
 class TestApplyRope:
+    """Rotating single vectors, through rope_table and rotate_heads."""
+
     def test_position_zero_is_identity(self):
         v = np.random.default_rng(0).normal(0, 1, 8)
-        out = apply_rope(v, 0.0, RopeParams(head_dim=8))
-        assert np.array_equal(out, v)
+        out = rotate(v, [0.0], RopeParams(head_dim=8))
+        assert np.array_equal(out[0], v)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
-        params = RopeParams(head_dim=16)
-        for _ in range(50):
-            v = rng.normal(0, 1, 16)
-            pos = rng.uniform(-3000, 3000)
-            assert abs(np.linalg.norm(apply_rope(v, pos, params)) - np.linalg.norm(v)) <= 1e-9
+        rows = rng.normal(0, 1, (50, 16))
+        out = rotate(rows, rng.uniform(-3000, 3000, 50), RopeParams(head_dim=16))
+        assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(rows, axis=1)).max() <= 1e-9
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply_rope(np.ones(6), 1.0, RopeParams(head_dim=8))
+        table = rope_table(np.array([1.0]), RopeParams(head_dim=8), 1, np.float64)
+        with pytest.raises(ShapeError, match="does not match"):
+            rotate_heads(Tensor(np.ones((1, 6))), table)
 
     @pytest.mark.parametrize("position", [0, 1, 7, 100, 1999])
     def test_matches_complex_reference_at_integer_positions(self, position):
         params = RopeParams(head_dim=12)
         v = np.random.default_rng(position).normal(0, 1, 12)
         expected = rope_complex_reference(v, position, params.frequencies)
-        assert np.allclose(apply_rope(v, position, params), expected, atol=1e-12)
+        assert np.allclose(rotate(v, [position], params)[0], expected, atol=1e-12)
 
     def test_fractional_positions_accepted(self):
-        params = RopeParams(head_dim=8)
-        out = apply_rope(np.ones(8), 13.37, params)
+        out = rotate(np.ones(8), [13.37], RopeParams(head_dim=8))[0]
         assert np.all(np.isfinite(out))
         assert not np.allclose(out, np.ones(8))
 
@@ -127,8 +127,8 @@ def _shift_gap(dtype, n_trials, rng):
         a, b = rng.uniform(0, 2000, 2)
         c = rng.uniform(-1000, 1000)
         # attention logits q.k / sqrt(head_dim), taken in float64
-        qa, qc = (apply_rope(q, p, params).astype(np.float64) for p in (a, a + c))
-        kb, kc = (apply_rope(k, p, params).astype(np.float64) for p in (b, b + c))
+        qa, qc = rotate(q, [a, a + c], params).astype(np.float64)
+        kb, kc = rotate(k, [b, b + c], params).astype(np.float64)
         worst = max(worst, abs(qa @ kb / np.sqrt(16) - qc @ kc / np.sqrt(16)))
     return worst
 
@@ -147,8 +147,8 @@ class TestCrossAttentionScores:
         params = RopeParams(head_dim=8)
         q = rng.normal(0, 1, (3, 8))
         k = rng.normal(0, 1, (5, 8))
-        q_rot = np.stack([apply_rope(row, 0.0, params) for row in q])
-        k_rot = np.stack([apply_rope(row, 0.0, params) for row in k])
+        q_rot = rotate(q, np.zeros(3), params)
+        k_rot = rotate(k, np.zeros(5), params)
         assert np.array_equal(q_rot @ k_rot.T / np.sqrt(8), q @ k.T / np.sqrt(8))
 
     def test_same_progress_maximizes_self_score(self):
@@ -156,9 +156,9 @@ class TestCrossAttentionScores:
         params = RopeParams(head_dim=16)
         q = np.random.default_rng(5).normal(0, 1, 16)
         q_progress = 700.0
-        q_rot = apply_rope(q, q_progress, params)
+        q_rot = rotate(q, [q_progress], params)[0]
         grid = np.linspace(0, 2000, 401)
-        scores = [q_rot @ apply_rope(q, p, params) / np.sqrt(16) for p in grid]
+        scores = rotate(q, grid, params) @ q_rot / np.sqrt(16)
         assert grid[int(np.argmax(scores))] == pytest.approx(q_progress, abs=grid[1] - grid[0])
 
     def test_score_depends_only_on_progress_difference(self):
@@ -167,8 +167,9 @@ class TestCrossAttentionScores:
         q = rng.normal(0, 1, 16)
         k = rng.normal(0, 1, 16)
         a, b, c = 123.4, 987.6, 333.3
-        s1 = apply_rope(q, a, params) @ apply_rope(k, b, params) / np.sqrt(16)
-        s2 = apply_rope(q, a + c, params) @ apply_rope(k, b + c, params) / np.sqrt(16)
+        (qa, qc), (kb, kc) = rotate(q, [a, a + c], params), rotate(k, [b, b + c], params)
+        s1 = qa @ kb / np.sqrt(16)
+        s2 = qc @ kc / np.sqrt(16)
         assert s1 == pytest.approx(s2, abs=1e-10)
 
 

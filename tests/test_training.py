@@ -1,5 +1,6 @@
 import hashlib
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -355,7 +356,7 @@ class TestSplitSteps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_split_gradients_equal_batch_loss_bitwise(self, monkeypatch, dtype, mask_prompt,
                                                       split):
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         if split == "all_but_one":  # several worker groups, whose order in the sum matters
             monkeypatch.setattr(training, "_split",
                                 lambda costs, worker: len(costs) - 1 if worker else 0)
@@ -397,7 +398,7 @@ class TestSplitSteps:
         assert training._split([5.0, 3.0, 1.0, 1.0], worker=None) == 0
 
     def test_split_evaluation_equals_the_serial_one(self, monkeypatch):
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         examples = corpus_examples(small_corpus(n_train=400), SPLIT_MODEL)
         batches = make_batches(examples, training.EVAL_TOKEN_BUDGET, seed=0,
                                pad_id=SpecialTokens.for_vocab(64).pad)
@@ -424,7 +425,7 @@ class TestSplitSteps:
                           mask_prompt=mask_prompt)
         runs = []
         for worker in (True, False):
-            monkeypatch.setattr(training, "_force_worker", worker)
+            monkeypatch.setattr(training, "_worker_wanted", lambda pinned: worker)
             path = tmp_path / f"worker-{worker}.pmrt"
             result = train(corpus, cfg, ModelConfig(), checkpoint_path=path)
             runs.append((result.curve, hashlib.sha256(path.read_bytes()).hexdigest()))
@@ -439,8 +440,6 @@ class TestWorker:
         assert not training._worker_wanted(False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert not training._worker_wanted(True)
-        monkeypatch.setattr(training, "_force_worker", True)
-        assert training._worker_wanted(False)
 
     def test_blas_runs_on_one_thread_and_is_restored(self, monkeypatch):
         threads = training._openblas_threads()
@@ -460,8 +459,26 @@ class TestWorker:
         assert seen == [1, 1]
         assert get() == before
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_mapped_file_under_a_non_utf8_path(self, tmp_path):
+        # a file system path is bytes: numpy, or a venv, may sit under one
+        # that is not UTF-8, and the OpenBLAS lookup reads every mapped path
+        found = training._openblas_threads() is not None
+        directory = os.path.join(os.fsencode(tmp_path), b"\xff-dir")
+        os.mkdir(directory)
+        path = os.path.join(directory, b"mapped")
+        with open(path, "wb") as fh:
+            fh.write(bytes(mmap.PAGESIZE))
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ):
+            with open("/proc/self/maps", "rb") as maps:
+                assert b"/\xff-dir/mapped" in maps.read()
+            assert (training._openblas_threads() is not None) == found
+            result = train(small_corpus(), TrainConfig(total_steps=1, validation_interval=1),
+                           SPLIT_MODEL)
+        assert [step for step, _, _ in result.curve] == [0, 1]
+
     def test_worker_exception_is_raised_again_in_the_main_process(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
         fused = training._fused_loss
@@ -478,7 +495,7 @@ class TestWorker:
         assert_gone(int(pid_file.read_text()))
 
     def test_hung_worker_is_named_and_stopped(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 0.5)
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
@@ -501,7 +518,7 @@ class TestWorker:
     def test_worker_ignores_ctrl_c(self, monkeypatch):
         # a terminal's Ctrl-C reaches the whole process group; only the main
         # process may act on it
-        monkeypatch.setattr(training, "_force_worker", True)
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
         main_pid = os.getpid()
         fused = training._fused_loss
 
