@@ -35,6 +35,7 @@ from .synthcorpus import (
     SymbolSpec,
     Utterance,
     build_symbol_spec,
+    check_model_fits,
     generate_corpus,
     load_corpus,
     load_manifest,
@@ -209,6 +210,7 @@ def _prompt_from_args(args, config, text) -> list:
         if args.corpus is None:
             raise ConfigError("--style needs --corpus to rebuild the symbol table")
         corpus_config, audio_vocab = load_manifest(args.corpus)
+        check_model_fits(corpus_config, audio_vocab, config)
         spec = build_symbol_spec(corpus_config, audio_vocab)
         probe = Utterance(text=list(text), style_id=args.style, stretch=1, audio=[],
                           duration_tokens=1)
@@ -235,8 +237,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _test_slice(corpus, limit):
-    """The test split, or its first limit utterances."""
+def _test_slice(corpus, limit, config):
+    """The test split, or its first limit utterances, for a model of config."""
+    check_model_fits(corpus.config, corpus.audio_vocab, config)
     if limit is None:
         return corpus.test
     if limit < 1:
@@ -247,7 +250,7 @@ def _test_slice(corpus, limit):
 def cmd_eval(args) -> int:
     params, config = _load_model(args.checkpoint, args.pm_rope)
     corpus = load_corpus(args.corpus)
-    utterances = _test_slice(corpus, args.limit)
+    utterances = _test_slice(corpus, args.limit, config)
     sampler = SamplerConfig(seed=args.seed)
     reports, detail = evaluate_model(params, config, corpus.spec, utterances, sampler)
     _write_reports(args.report, reports)
@@ -264,7 +267,7 @@ def cmd_ablate(args) -> int:
     if not config.pm_rope_enabled:
         raise ConfigError("ablate needs a checkpoint trained with progress rotation enabled")
     corpus = load_corpus(args.corpus)
-    utterances = _test_slice(corpus, args.limit)
+    utterances = _test_slice(corpus, args.limit, config)
     sampler = SamplerConfig(seed=args.seed)
     blocks = {}
     for label, enabled in (("pm_on", True), ("pm_off", False)):
@@ -374,7 +377,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as err:

@@ -1,26 +1,26 @@
-"""Autoregressive generation under an inference-time progress schedule.
+"""Autoregressive generation with progress toward a target length.
 
-The decoder stream opens with bos + prompt + separator; the progress schedule
+The decoder stream opens with bos + prompt + separator; a row's progress
 spans that prefix plus the requested target length, mirroring training.
 Decoding is incremental and batched: generate_batch encodes every text in one
 pass, then decodes one lockstep batch per prompt length. A batch runs its
 prefixes, all of one length, through the decoder in one prefill pass that
 fills a DecoderCache, then runs every unfinished row's newest token in one
-pass per step. Each row keeps its own schedule, length cap and random
+pass per step. Each row keeps its own target, length cap and random
 generator, so it samples exactly the tokens it would sample alone; a row
 leaves the batch when it stops. Every row still in the batch has kept one
 token per step, so one step counter is the length of each, and the cache's
-length is the prefix plus that count. generate is a batch of one. The
-cross-attention progress of every position, including those past the target
-that over-generation reaches, follows from the step index and the target
-alone, so it is fixed before decoding starts. At each step one
-filter_and_sample call takes the logits of every unfinished row through
-temperature scaling, top-k, then nucleus filtering as one matrix; each row
-then draws from its own generator exactly the token Generator.choice would
-draw from its support, so batching changes no sampled token. Generation
-stops at eos or at a 1.2x length cap (slack enough for the +/-10%
-duration-accuracy window to register misses); targets above MAX_TARGET_LEN
-are refused before any work.
+length is the prefix plus that count. generate is a batch of one. Each pass
+hands decoder_batch every live row's text length and total length (prefix
+plus target), from which, with the cache's length, the decoder builds the
+progress of the positions it runs, those past the target that
+over-generation reaches included. At each step one filter_and_sample call
+takes the logits of every unfinished row through temperature scaling, top-k,
+then nucleus filtering as one matrix; each row then draws from its own
+generator exactly the token Generator.choice would draw from its support, so
+batching changes no sampled token. Generation stops at eos or at a 1.2x
+length cap (slack enough for the +/-10% duration-accuracy window to register
+misses); targets above MAX_TARGET_LEN are refused before any work.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .model import (
     encode_batch,
 )
 from .numerics import Tensor
-from .positional import progress_ids
 
 LENGTH_CAP_FACTOR = 1.2
 # longest target generate_batch accepts, about 82 s at 50 Hz and some 40 times
@@ -140,7 +139,7 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
         if target_len > MAX_TARGET_LEN:
             raise ValueError(f"target_len must be <= MAX_TARGET_LEN = {MAX_TARGET_LEN}, "
                              f"got {target_len}")
-    enc_states, enc_real = encode_batch([text for text, _, _ in requests], params, config)
+    enc_states, text_lens = encode_batch([text for text, _, _ in requests], params, config)
     groups = {}
     for i, (_, prompt, _) in enumerate(requests):
         groups.setdefault(len(prompt), []).append(i)
@@ -148,31 +147,25 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
     for rows in groups.values():
         decoded = _decode_lockstep(
             [requests[i] for i in rows], [samplers[i] for i in rows],
-            Tensor(enc_states.data[rows]), None if enc_real is None else enc_real[rows],
-            params, config)
+            Tensor(enc_states.data[rows]), text_lens[rows], params, config)
         for i, result in zip(rows, decoded):
             results[i] = result
     return results
 
 
-def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
+def _decode_lockstep(requests, samplers, enc_states: Tensor, text_lens,
                      params: ModelParams, config: ModelConfig) -> list:
     """Decode requests whose prompts all have one length as one lockstep batch,
     from their encoder states; results come back in request order."""
     specials = SpecialTokens.for_vocab(config.audio_vocab)
-    n, T = len(requests), enc_states.data.shape[1]
+    n = len(requests)
     inputs = np.array([[specials.bos, *(int(t) for t in prompt), specials.separator]
                        for _, prompt, _ in requests], dtype=np.int64)
-    P = inputs.shape[1]
     caps = np.array([math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests])
-    enc_progress = progress_ids([len(text) for text, _, _ in requests], T, config.progress_scale)
-    # each row's progress ids out to the longest cap; past total_len they extrapolate
-    dec_progress = progress_ids([P + target_len for _, _, target_len in requests],
-                                P + caps.max(), config.progress_scale)
+    total_lens = inputs.shape[1] + np.array([target_len for _, _, target_len in requests])
     rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
     blocked = [specials.pad, specials.separator, specials.bos]
 
-    progress = dec_progress[:, :P]
     # every live row has kept one token per step, so step counts the tokens of
     # each; live holds the request index of each batch row and is cut, with
     # samplers, rngs and the cache, to the kept rows when rows stop
@@ -182,10 +175,10 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
     out = np.empty((n, caps.max()), dtype=np.int64)
     cache = DecoderCache()
     while True:
-        # enc_states and enc_progress are read on the first pass only; from then
-        # on the cache holds the cross-attention keys and values
-        logits = decoder_batch(inputs, enc_states, enc_real, progress, enc_progress,
-                               params, config, cache)
+        # enc_states are read on the first pass only; from then on the cache
+        # holds the cross-attention keys and values
+        logits = decoder_batch(inputs, enc_states, text_lens[live], total_lens[live], cache,
+                               params, config)
         rows = logits.data[:, -1].astype(np.float64)
         rows[:, blocked] = -np.inf
         sampled = filter_and_sample(rows, samplers, rngs)
@@ -201,10 +194,7 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, enc_real,
             live = live[keep]
             samplers = [samplers[j] for j in keep]
             rngs = [rngs[j] for j in keep]
-            if enc_real is not None:
-                enc_real = enc_real[keep]
         inputs = sampled[keep, None]
-        progress = dec_progress[live, cache.length][:, None]
     # a row that stopped short of its cap stopped at eos
     return [GenerationResult(tokens=out[i, :length].tolist(),
                              stop_reason="length_cap" if length == cap else "eos",

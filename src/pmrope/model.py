@@ -254,10 +254,13 @@ def causal_mask(n: int, dtype) -> np.ndarray:
     return m
 
 
-def key_padding_mask(real: np.ndarray, dtype) -> np.ndarray:
-    """Additive [n, 1, 1, S] mask hiding padded key positions (real is [n, S] bool)."""
-    mask = np.where(real, 0.0, -np.inf).astype(dtype)
-    return mask[:, None, None, :]
+def key_padding_mask(lens, n: int, dtype):
+    """Additive [rows, 1, 1, n] mask hiding each row's key positions at or past
+    its length in lens; None when no row is shorter than n."""
+    lens = np.asarray(lens)[:, None]
+    if lens.min() >= n:
+        return None
+    return np.where(np.arange(n) < lens, 0.0, -np.inf).astype(dtype)[:, None, None, :]
 
 
 class DecoderCache:
@@ -350,9 +353,8 @@ def encode_batch(texts, params: ModelParams, config: ModelConfig):
     """Bidirectional encoding of text token sequences, in one pass.
 
     The texts are right-padded to the longest; returns the [n, T, d] states
-    and the [n, T] bool mask of real positions (None when no text is padded).
-    Padded positions produce states, but they are hidden from attention here
-    and from cross-attention downstream.
+    and the [n] text lengths. Padded positions produce states, but they are
+    hidden from attention here and from cross-attention downstream.
     """
     rows = []
     for text in texts:
@@ -362,40 +364,35 @@ def encode_batch(texts, params: ModelParams, config: ModelConfig):
         if tokens.min() < 0 or tokens.max() >= config.text_vocab:
             raise ValueError(f"text token outside [0, {config.text_vocab})")
         rows.append(tokens)
-    n, T = len(rows), max(tokens.size for tokens in rows)
+    lens = np.array([tokens.size for tokens in rows])
+    n, T = len(rows), int(lens.max())
     padded = np.zeros((n, T), dtype=np.int64)
-    real = np.zeros((n, T), dtype=bool)
-    for i, tokens in enumerate(rows):
-        padded[i, : tokens.size] = tokens
-        real[i, : tokens.size] = True
-    if real.all():
-        real = None
+    padded[np.arange(T) < lens[:, None]] = np.concatenate(rows)  # row by row, left-aligned
     x = nm.embed(params["text_emb"], padded)
     table = _self_table(n, 0, T, config, x.data.dtype)
-    mask = None if real is None else key_padding_mask(real, x.data.dtype)
+    mask = key_padding_mask(lens, T, x.data.dtype)
     for i in range(config.n_enc_layers):
         x = _self_attention_block(x, f"enc.{i}.attn", table, mask, params, config)
         x = _ffn_block(x, f"enc.{i}.ffn", params)
-    return nm.rms_norm(x, params["enc.norm"]), real
+    return nm.rms_norm(x, params["enc.norm"]), lens
 
 
-def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
-                  dec_progress: np.ndarray, enc_progress: np.ndarray,
-                  params: ModelParams, config: ModelConfig, cache=None) -> Tensor:
+def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens,
+                  cache, params: ModelParams, config: ModelConfig) -> Tensor:
     """Causal decoding of padded [n, S] streams -> [n, S, V+5] logits.
 
-    Streams are right-padded; causality already keeps real positions from
-    seeing the pad tail, so only encoder pads need masking (enc_real, [n, T]
-    bool or None). Progress ID arrays are per-row ([n, S] and [n, T]).
+    Row r reads its first text_lens[r] encoder states (the rest are pads,
+    hidden from cross-attention), and its progress spans total_lens[r]
+    positions. Streams are right-padded; causality already keeps real
+    positions from seeing the pad tail.
 
-    With a DecoderCache the S stream positions continue every row's stream:
-    they sit at integer positions cache.length onwards, attend to the cached
-    keys as well as to each other, and are appended to the cache, whose
-    length the pass then advances by S; so the streams run through a cache
-    must hold no pads. Cross-attention keys and
-    values come from the cache after its first pass.
+    With a DecoderCache (else None) the S positions continue every row's
+    stream at positions cache.length onwards: they attend to the cached keys
+    as well as to each other and are appended to the cache, whose length the
+    pass then advances by S, so streams run through a cache hold no pads.
+    Cross-attention keys and values come from the cache after its first pass.
     """
-    n, S = streams.shape
+    (n, S), T = streams.shape, enc_states.data.shape[1]
     past = 0 if cache is None else cache.length
     rope = _rope_params(config.head_dim, config.rope_base)
 
@@ -407,11 +404,13 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, enc_real,
     self_table = _self_table(n, past, past + S, config, dtype)
     dec_table = enc_table = None
     if config.pm_rope_enabled:
-        dec_table = rope_table(dec_progress, rope, config.n_heads, dtype)
+        scale = config.progress_scale
+        dec_table = rope_table(progress_ids(total_lens, S, scale, start=past), rope,
+                               config.n_heads, dtype)
         if cache is None or not cache.cross_kv:  # cached cross keys are rotated already
-            enc_table = rope_table(enc_progress, rope, config.n_heads,
+            enc_table = rope_table(progress_ids(text_lens, T, scale), rope, config.n_heads,
                                    np.result_type(enc_states.data, dtype))
-    cross_mask = None if enc_real is None else key_padding_mask(enc_real, dtype)
+    cross_mask = key_padding_mask(text_lens, T, dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_table, self_mask,
                                   params, config, cache)
@@ -446,10 +445,7 @@ def decoder_forward(audio_tokens, enc_states: Tensor, total_len: int, params: Mo
         raise ValueError(f"audio token outside [0, {config.audio_vocab_ext})")
     if total_len < 1:
         raise ValueError(f"total_len must be positive, got {total_len}")
-    S, T = tokens.size, enc_states.data.shape[0]
-    dec_progress = progress_ids([total_len], S, config.progress_scale)
-    enc_progress = progress_ids([T], T, config.progress_scale)
     states = nm.reshape(enc_states, (1,) + enc_states.data.shape)
-    logits = decoder_batch(tokens[None, :], states, None, dec_progress, enc_progress,
-                           params, config)
-    return nm.reshape(logits, (S, config.audio_vocab_ext))
+    logits = decoder_batch(tokens[None, :], states, [enc_states.data.shape[0]], [total_len],
+                           None, params, config)
+    return nm.reshape(logits, (tokens.size, config.audio_vocab_ext))

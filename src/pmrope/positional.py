@@ -1,4 +1,4 @@
-"""Rotary position embeddings at real-valued positions and progress schedules.
+"""Rotary position embeddings at real-valued positions, and progress ids.
 
 The cross-attention pathway rotates decoder queries and encoder keys at
 fractional "progress" positions: index j in a sequence of length L maps to
@@ -49,18 +49,18 @@ class RopeParams:
         object.__setattr__(self, "frequencies", frequencies)
 
 
-def progress_ids(total_lens, n: int, scale: float) -> np.ndarray:
-    """[rows, n] progress IDs, one row per total length L in total_lens:
-    index j maps to j/(L-1) * scale, and every index to 0 when L == 1 (a
-    single token counts as "start"). A scale of 0 pins every ID at 0, which
-    leaves the rotation an identity.
+def progress_ids(total_lens, n: int, scale: float, start: int = 0) -> np.ndarray:
+    """[rows, n] progress IDs of indices start..start+n-1, one row per total
+    length L in total_lens: index j maps to j/(L-1) * scale, and every index
+    to 0 when L == 1 (a single token counts as "start"). A scale of 0 pins
+    every ID at 0, which leaves the rotation an identity.
 
     Past L the affine map extrapolates beyond the scale; the decoder needs
     this when generation overshoots the target length.
     """
-    lens = np.asarray(total_lens, dtype=np.int64)[:, None]
-    ids = np.arange(n, dtype=np.float64) / np.maximum(lens - 1, 1) * scale
-    ids[lens[:, 0] == 1] = 0.0
+    spans = np.asarray(total_lens, dtype=np.float64)[:, None] - 1  # exact: L is an int
+    ids = np.arange(start, start + n, dtype=np.float64) / np.maximum(spans, 1) * scale
+    ids[spans[:, 0] == 0] = 0.0
     return ids
 
 

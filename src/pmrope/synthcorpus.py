@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _FIELD_CHECKS, SpecialTokens, config_from_record
+from .model import _FIELD_CHECKS, ModelConfig, SpecialTokens, config_from_record
 
 #: text symbols rendered into each utterance's style prompt
 PROMPT_SYMBOLS = 2
@@ -222,6 +222,18 @@ def _load_json(raw: bytes, where: str):
         raise ValueError(f"{where}: not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{where}: not valid JSON: {err}") from None
+
+
+def check_model_fits(config: CorpusConfig, audio_vocab: int, model: ModelConfig) -> None:
+    """Raise ValueError, naming both values, unless a model of config model
+    reads and writes this corpus's alphabets: the same audio_vocab, and no
+    more text symbols than its text_vocab."""
+    if audio_vocab != model.audio_vocab:
+        raise ValueError(f"corpus audio_vocab {audio_vocab} does not match the model's "
+                         f"audio_vocab {model.audio_vocab}")
+    if config.n_symbols > model.text_vocab:
+        raise ValueError(f"corpus n_symbols {config.n_symbols} exceeds the model's "
+                         f"text_vocab {model.text_vocab}")
 
 
 def load_manifest(corpus_dir):

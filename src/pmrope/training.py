@@ -2,9 +2,9 @@
 token-budget batching, and lowest-validation-loss checkpoint selection.
 
 Each utterance trains as one decoder stream bos + prompt + separator + audio
-+ eos under teacher forcing; the progress schedule spans that full stream so
-inference can mirror it. The loss covers the prompt region by default (an
-option masks it out) and never covers padding.
++ eos under teacher forcing; progress spans the stream the decoder reads
+(all but the eos) so inference can mirror it. The loss covers the prompt
+region by default (an option masks it out) and never covers padding.
 
 train() runs OpenBLAS on one thread. Where fork works and two CPUs are
 usable, it forks one worker that runs a share of the length groups of every
@@ -40,8 +40,7 @@ from .model import (
     init_params,
 )
 from .numerics import Tape, Tensor
-from .positional import progress_ids
-from .synthcorpus import Corpus, prompt_for
+from .synthcorpus import Corpus, check_model_fits, prompt_for
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -247,16 +246,12 @@ def _fused_loss(batch: Batch, rows, params: ModelParams, config: ModelConfig,
                 mask_prompt: bool):
     """Mean NLL of some rows of a batch in one pass, sliced from the batch's
     padded streams, and the number of positions in the mean."""
-    examples = [batch.examples[i] for i in rows]
     loss_mask = _loss_mask(batch, rows, mask_prompt)
     S = loss_mask.shape[1]
     tokens = batch.tokens[rows, : S + 1]
-    enc_states, text_real = encode_batch([ex.text for ex in examples], params, config)
-    dec_prog = progress_ids(batch.lengths[rows] - 1, S, config.progress_scale)
-    enc_prog = progress_ids([len(ex.text) for ex in examples], enc_states.data.shape[1],
-                            config.progress_scale)
-    logits = decoder_batch(tokens[:, :-1], enc_states, text_real, dec_prog, enc_prog,
-                           params, config)
+    enc_states, text_lens = encode_batch([batch.examples[i].text for i in rows], params, config)
+    logits = decoder_batch(tokens[:, :-1], enc_states, text_lens, batch.lengths[rows] - 1,
+                           None, params, config)
     flat = nm.reshape(logits, (loss_mask.size, config.audio_vocab_ext))
     loss = nm.cross_entropy(flat, tokens[:, 1:].reshape(-1), loss_mask.reshape(-1))
     return loss, int(loss_mask.sum())
@@ -599,6 +594,7 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     does the WorkerError of a worker that dies or hangs. No process started
     here outlives the call.
     """
+    check_model_fits(corpus.config, corpus.audio_vocab, model_config)
     if not corpus.train or not corpus.val:
         raise ValueError("train and validation splits must be nonempty")
     specials = SpecialTokens.for_vocab(model_config.audio_vocab)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmrope import decoding, numerics, training
-from pmrope.checkpoint import load_checkpoint
+from pmrope.checkpoint import load_checkpoint, save_checkpoint
 from pmrope.cli import _SECTIONS, ConfigError, build_parser, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, SpecialTokens, init_params
@@ -590,6 +590,90 @@ class TestAblateCommand:
         assert code == 2
         assert "--limit" in capsys.readouterr().err
         assert not report_path.exists()
+
+
+# corpus run-config overrides that leave a corpus the SMALL_RUN model cannot
+# read, and the two values the refusal must name
+MISFITS = {
+    "audio_vocab": ({"model": {"audio_vocab": 48}}, ("audio_vocab 48", "audio_vocab 64")),
+    "n_symbols": ({"corpus": {"n_symbols": 40}}, ("n_symbols 40", "text_vocab 32")),
+}
+
+
+class TestCorpusModelFit:
+    """Every command that runs a model on a corpus refuses, before any work, a
+    corpus whose alphabets the model does not have."""
+
+    @pytest.fixture(params=sorted(MISFITS))
+    def misfit(self, request, tmp_path):
+        """(corpus dir, untrained SMALL_RUN checkpoint, names the error must hold)."""
+        override, names = MISFITS[request.param]
+        run = {section: {**values, **override.get(section, {})}
+               for section, values in SMALL_RUN.items()}
+        (tmp_path / "misfit.json").write_text(json.dumps(run))
+        corpus = tmp_path / "misfit"
+        assert main(["corpus", "--config", str(tmp_path / "misfit.json"),
+                     "--out", str(corpus)]) == 0
+        checkpoint = tmp_path / "untrained.pmrt"
+        save_checkpoint(checkpoint, init_params(ModelConfig(**SMALL_RUN["model"]), seed=0))
+        return corpus, checkpoint, names
+
+    @staticmethod
+    def assert_refused(capsys, code, names, *unwritten):
+        err = capsys.readouterr().err
+        assert code == 2 and all(name in err for name in names), err
+        assert not any(path.exists() for path in unwritten)
+
+    def test_train(self, misfit, run_config_path, tmp_path, capsys):
+        corpus, _, names = misfit
+        out = tmp_path / "m.pmrt"
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus),
+                     "--out", str(out), "--quiet"])
+        self.assert_refused(capsys, code, names, out, Path(str(out) + ".losses.csv"))
+
+    def test_eval(self, misfit, tmp_path, capsys):
+        corpus, checkpoint, names = misfit
+        report = tmp_path / "report.json"
+        code = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                     "--report", str(report)])
+        self.assert_refused(capsys, code, names, report)
+
+    def test_ablate(self, misfit, tmp_path, capsys):
+        corpus, checkpoint, names = misfit
+        report = tmp_path / "ablate.json"
+        code = main(["ablate", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                     "--report", str(report)])
+        self.assert_refused(capsys, code, names, report)
+
+    def test_generate_with_a_style_prompt(self, misfit, tmp_path, capsys):
+        corpus, checkpoint, names = misfit
+        out = tmp_path / "gen.json"
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--corpus", str(corpus), "--style", "1", "--oracle-length", "4",
+                     "--out", str(out)])
+        self.assert_refused(capsys, code, names, out)
+
+
+class TestPathKinds:
+    """A path of the wrong kind is a usage error (exit 2), as a missing one is."""
+
+    def test_checkpoint_that_is_a_directory(self, tmp_path, corpus_dir, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus_dir),
+                     "--report", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_config_that_is_a_directory(self, tmp_path, corpus_dir, capsys):
+        code = main(["train", "--config", str(tmp_path), "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "m.pmrt"), "--quiet"])
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_corpus_that_is_a_file(self, tmp_path, run_config_path, capsys):
+        code = main(["train", "--config", run_config_path, "--corpus", run_config_path,
+                     "--out", str(tmp_path / "m.pmrt"), "--quiet"])
+        assert code == 2
+        assert "Not a directory" in capsys.readouterr().err
 
 
 class TestDurationCommand:

@@ -17,8 +17,7 @@ from pmrope.decoding import (
     generate_batch,
 )
 from pmrope.model import DecoderCache, SpecialTokens, decoder_batch, decoder_forward, encode
-from pmrope.numerics import ShapeError, Tensor
-from pmrope.positional import progress_ids
+from pmrope.numerics import Tensor
 
 
 def sample_many(logits, cfg, n=500, seed=0):
@@ -217,14 +216,11 @@ def cached_passes(text, prompt, target_len, generated, params, config, cache):
     enc_states = encode(text, params, config)
     prefix = [specials.bos, *prompt, specials.separator]
     stream = prefix + list(generated)
-    T = enc_states.shape[0]
-    dec_progress = progress_ids([len(prefix) + target_len], len(stream), config.progress_scale)
-    enc_progress = progress_ids([T], T, config.progress_scale)
     states = Tensor(enc_states.data[None])
     bounds = [(0, len(prefix))] + [(j, j + 1) for j in range(len(prefix), len(stream))]
     for start, end in bounds:
-        logits = decoder_batch(np.array([stream[start:end]]), states, None,
-                               dec_progress[:, start:end], enc_progress, params, config, cache)
+        logits = decoder_batch(np.array([stream[start:end]]), states, [len(text)],
+                               [len(prefix) + target_len], cache, params, config)
         yield stream, start, end, logits.data[0]
 
 
@@ -282,9 +278,8 @@ class TestIncrementalDecoding:
                    rng.integers(0, config.audio_vocab, size=16).tolist()
                    for p in rng.integers(0, config.audio_vocab, size=3)]
         encoded = [encode(text, params, config) for text in texts]
-        progress = progress_ids([3 + target for target in targets], 19, config.progress_scale)
+        total_lens = np.array([3 + target for target in targets])
         states = Tensor(np.stack([enc.data for enc in encoded]))
-        enc_progress = progress_ids([3, 3, 3], 3, config.progress_scale)
         rows = [0, 1, 2]  # the row each cache row decodes
         cache = DecoderCache()
         keys = None
@@ -295,8 +290,8 @@ class TestIncrementalDecoding:
                 rows = [2, 0]
                 keys = cache._buffers["dec.0.self"][0]
             logits = decoder_batch(np.array([streams[r][start:end] for r in rows]),
-                                   Tensor(states.data[rows]), None, progress[rows, start:end],
-                                   enc_progress[rows], params, config, cache).data
+                                   Tensor(states.data[rows]), [3] * len(rows),
+                                   total_lens[rows], cache, params, config).data
             assert cache.length == end
             for row, r in enumerate(rows):
                 full = decoder_forward(streams[r][:end], encoded[r], 3 + targets[r],
@@ -307,13 +302,6 @@ class TestIncrementalDecoding:
             keys = new_keys
         # a 3-position prefill, then 16 single positions: capacity 3 -> 6 -> 12 -> 24
         assert growths == 3
-
-    def test_progress_shape_must_match_the_stream(self, tiny_model):
-        params, config = tiny_model
-        states = Tensor(np.zeros((2, 3, config.d_model), dtype=np.float32))
-        with pytest.raises(ShapeError, match="does not match"):
-            decoder_batch(np.array([[8, 1], [8, 2]]), states, None, np.zeros((2, 3)),
-                          np.zeros((2, 3)), params, config)
 
     @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
     def test_generate_matches_the_rescan_oracle(self, request, model):
@@ -415,8 +403,7 @@ class TestLockstepDecoding:
         streams = np.array([[8, 1, 12], [8, 2, 12]])
         states = Tensor(np.random.default_rng(0).normal(size=(2, 3, config.d_model)))
         cache = DecoderCache()
-        decoder_batch(streams, states, None, np.zeros((2, 3)), np.zeros((2, 3)), params,
-                      config, cache)
+        decoder_batch(streams, states, [3, 3], [3, 3], cache, params, config)
 
         def stored(cache):  # the filled part of every layer's keys and values
             kv = {name: (k[:, :cache.length], v[:, :cache.length])

@@ -17,10 +17,10 @@ from pmrope.model import (
     decoder_forward,
     encode,
     init_params,
+    key_padding_mask,
 )
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.numerics import Tape, Tensor
-from pmrope.positional import progress_ids
 
 
 class TestConfig:
@@ -132,9 +132,8 @@ class TestDecoderForward:
         enc = encode([1, 2, 3], params, config)
         stream = [8, 1, 2, 3]
         got = decoder_forward(stream, enc, 10, params, config)
-        want = decoder_batch(np.array([stream]), nm.reshape(enc, (1, 3, config.d_model)), None,
-                             progress_ids([10], 4, config.progress_scale),
-                             progress_ids([3], 3, config.progress_scale), params, config)
+        want = decoder_batch(np.array([stream]), nm.reshape(enc, (1, 3, config.d_model)), [3],
+                             [10], None, params, config)
         assert got.data.tobytes() == want.data[0].tobytes()
         assert not np.allclose(got.data, decoder_forward(stream, enc, 4, params, config).data)
 
@@ -207,6 +206,17 @@ class TestAttention:
         assert np.all(m[np.triu_indices(4, k=1)] == -np.inf)
         assert np.all(m[np.tril_indices(4)] == 0.0)
 
+    @pytest.mark.parametrize("lens", [[4], [4, 4, 4], [5, 4]])
+    def test_key_padding_mask_is_none_when_no_row_is_short(self, lens):
+        assert key_padding_mask(lens, 4, np.float32) is None
+
+    def test_key_padding_mask_hides_each_row_from_its_length_on(self):
+        m = key_padding_mask(np.array([3, 1, 5]), 5, np.float32)
+        assert m.shape == (3, 1, 1, 5) and m.dtype == np.float32
+        hidden = np.arange(5) >= np.array([3, 1, 5])[:, None]
+        assert np.all(m[:, 0, 0][hidden] == -np.inf)
+        assert np.all(m[:, 0, 0][~hidden] == 0.0)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         q = Tensor(rng.normal(0, 1, (3, 8)), requires_grad=True)
@@ -272,11 +282,10 @@ class TestRotationTables:
         config = replace(config, pm_rope_enabled=pm_rope)
         states = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)).astype(np.float32))
         cache = DecoderCache()
-        decoder_batch(np.array([[8, 1, 9], [8, 2, 9]]), states, None, np.zeros((2, 3)),
-                      np.zeros((2, 3)), params, config, cache)
+        decoder_batch(np.array([[8, 1, 9], [8, 2, 9]]), states, [3, 3], [6, 6], cache,
+                      params, config)
         shapes = self.record_builds(monkeypatch)
-        decoder_batch(np.array([[3], [4]]), states, None, np.ones((2, 1)), np.zeros((2, 3)),
-                      params, config, cache)
+        decoder_batch(np.array([[3], [4]]), states, [3, 3], [6, 6], cache, params, config)
         assert shapes == want  # self positions, decoder progress; cross keys are cached
 
     def test_training_forward_pass(self, monkeypatch):

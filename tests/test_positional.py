@@ -84,6 +84,19 @@ class TestProgressIds:
             assert np.array_equal(row, expected)
             assert np.array_equal(progress_ids([total_len], n, scale)[0], expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=4), st.integers(0, 80),
+           st.integers(0, 80), st.sampled_from([0.0, 7.5, 2000.0]))
+    def test_a_start_gives_those_columns_of_the_full_array_bitwise(self, total_lens, start, n,
+                                                                    scale):
+        # L == 1, and columns past L, are both in the drawn range
+        full = progress_ids(total_lens, start + n, scale)
+        assert np.array_equal(progress_ids(total_lens, n, scale, start=start), full[:, start:])
+
+    def test_a_start_on_a_single_token_stream_stays_at_zero(self):
+        assert np.array_equal(progress_ids([1, 3], 2, 2000.0, start=4),
+                              [[0.0, 0.0], [4000.0, 5000.0]])
+
 
 class TestApplyRope:
     """Rotating single vectors, through rope_table and rotate_heads."""

@@ -1,4 +1,5 @@
-"""Static checks on the package source: every module reads what it imports.
+"""Static checks on the package source: every module reads what it imports,
+and only the model builds progress ids.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -34,3 +35,22 @@ def test_the_check_finds_an_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def calls_of(source: str, name: str) -> int:
+    """How many calls a module makes to name, bare or as an attribute."""
+    return sum(isinstance(node, ast.Call) and
+               (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_check_counts_bare_and_attribute_calls():
+    source = "f(1)\npositional.f(2)\ng = f\nh(f)\n"
+    assert calls_of(source, "f") == 2
+
+
+def test_only_the_model_builds_progress_ids():
+    # the decoder builds its progress from per-row lengths; its callers pass lengths
+    callers = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if calls_of(p.read_text(encoding="utf-8"), "progress_ids"))
+    assert callers == ["model.py"]
