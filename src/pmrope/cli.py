@@ -377,13 +377,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, ValueError) as err:
+    except (ConfigError, CheckpointError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME

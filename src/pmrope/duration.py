@@ -27,17 +27,27 @@ class DurationEstimate:
     source: str  # "reference_ratio" | "default_rate"
 
     def __post_init__(self):
-        if self.seconds <= 0:
-            raise ValueError(f"estimated duration must be positive, got {self.seconds}")
+        if not 0 < self.seconds < math.inf:
+            raise ValueError(f"estimated duration must be positive and finite, got {self.seconds}")
+
+
+def _as_float(value, name: str) -> float:
+    """float(value), or a ValueError naming the value when it does not fit a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value} does not fit a float") from None
 
 
 def estimate_from_reference(ref_duration_s: float, n_ref: int, n_tgt: int) -> DurationEstimate:
     """Scale the reference's seconds-per-unit by the target's unit count."""
-    if ref_duration_s <= 0:
-        raise ValueError(f"reference duration must be positive, got {ref_duration_s}")
+    if not 0 < ref_duration_s < math.inf:
+        raise ValueError(f"reference duration must be positive and finite, got {ref_duration_s}")
     if n_ref < 1 or n_tgt < 1:
         raise ValueError("unit counts must be >= 1")
-    return DurationEstimate(seconds=ref_duration_s / n_ref * n_tgt, source="reference_ratio")
+    seconds = ref_duration_s / _as_float(n_ref, "reference unit count") * _as_float(
+        n_tgt, "target unit count")
+    return DurationEstimate(seconds=seconds, source="reference_ratio")
 
 
 def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
@@ -47,7 +57,8 @@ def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
             f"unknown language {language!r}; known: {', '.join(sorted(DEFAULT_RATES))}")
     if n_tgt < 1:
         raise ValueError("unit count must be >= 1")
-    return DurationEstimate(seconds=DEFAULT_RATES[language] * n_tgt, source="default_rate")
+    seconds = DEFAULT_RATES[language] * _as_float(n_tgt, "target unit count")
+    return DurationEstimate(seconds=seconds, source="default_rate")
 
 
 def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
@@ -55,11 +66,15 @@ def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
 
     Accepts a DurationEstimate or plain seconds.
     """
-    seconds = estimate.seconds if isinstance(estimate, DurationEstimate) else float(estimate)
+    seconds = estimate.seconds if isinstance(estimate, DurationEstimate) else _as_float(
+        estimate, "duration")
     if not math.isfinite(seconds):
         raise ValueError(f"duration must be finite, got {seconds}")
     if seconds <= 0:
         raise ValueError(f"duration must be positive, got {seconds}")
     if frame_rate < 1:
         raise ValueError(f"frame rate must be >= 1, got {frame_rate}")
-    return max(1, math.floor(seconds * frame_rate * (1.0 + _ROUNDING_SLACK)))
+    tokens = seconds * _as_float(frame_rate, "frame rate") * (1.0 + _ROUNDING_SLACK)
+    if math.isinf(tokens):
+        raise ValueError(f"{seconds} s at {frame_rate} frames per second does not fit a float")
+    return max(1, math.floor(tokens))

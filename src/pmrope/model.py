@@ -146,10 +146,6 @@ class ModelParams:
     def items(self):
         return self.tensors.items()
 
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self.tensors.items()},
@@ -357,12 +353,16 @@ def encode_batch(texts, params: ModelParams, config: ModelConfig):
     hidden from attention here and from cross-attention downstream.
     """
     rows = []
+    outside = f"text token outside [0, {config.text_vocab})"
     for text in texts:
-        tokens = np.asarray(text, dtype=np.int64)
+        try:
+            tokens = np.asarray(text, dtype=np.int64)
+        except OverflowError:  # an id past int64 is outside too
+            raise ValueError(outside) from None
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("encoder input must be a nonempty token sequence")
         if tokens.min() < 0 or tokens.max() >= config.text_vocab:
-            raise ValueError(f"text token outside [0, {config.text_vocab})")
+            raise ValueError(outside)
         rows.append(tokens)
     lens = np.array([tokens.size for tokens in rows])
     n, T = len(rows), int(lens.max())

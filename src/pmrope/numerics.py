@@ -60,12 +60,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, "

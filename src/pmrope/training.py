@@ -9,8 +9,9 @@ region by default (an option masks it out) and never covers padding.
 train() runs OpenBLAS on one thread. Where fork works and two CPUs are
 usable, it forks one worker that runs a share of the length groups of every
 training batch and every evaluation, on parameters kept in shared memory.
-The gradients are summed in the order batch_loss's tape sums them, so the
-loss curve and the checkpoint bytes do not depend on whether the worker runs.
+Both processes open training tapes in _share_gradients alone, and gradients
+are summed in the order one tape over the whole batch sums them, so the loss
+curve and the checkpoint bytes do not depend on whether the worker runs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import (
     encode_batch,
     init_params,
 )
-from .numerics import Tape, Tensor
+from .numerics import Tape
 from .synthcorpus import Corpus, check_model_fits, prompt_for
 
 ADAM_BETA1 = 0.9
@@ -284,90 +285,74 @@ def _split(costs, worker) -> int:
 
 
 def batch_loss(batch: Batch, params: ModelParams, config: ModelConfig,
-               mask_prompt: bool = False, groups=None):
-    """Mean NLL over every unmasked position of a batch.
-
-    Returns (loss tensor, number of positions in the mean). Runs one fused
-    pass per within-batch length group and recombines position-weighted.
-    Given groups, some of the batch's length groups as row lists, it runs
-    only those and returns their (loss tensor, positions) parts instead,
-    for the caller to weight by the whole batch's positions.
-    """
-    parts = [_fused_loss(batch, rows, params, config, mask_prompt)
-             for rows in (_length_groups(batch.lengths.tolist()) if groups is None else groups)]
-    if groups is not None:
-        return parts
-    total = sum(count for _, count in parts)
-    return _weighted_sum(parts, total), total
+               mask_prompt: bool, groups) -> list:
+    """The (mean NLL tensor, positions in the mean) part of each of some
+    length groups of a batch, given as row lists, one fused pass each. The
+    batch's loss is _weighted_sum of all its groups' parts over the batch's
+    positions."""
+    return [_fused_loss(batch, rows, params, config, mask_prompt) for rows in groups]
 
 
-def _group_gradients(groups, batch: Batch, total: int, mask_prompt: bool,
-                     params: ModelParams, config: ModelConfig) -> list:
-    """For each (rows, count) length group of a batch, run on a tape of its
-    own: the group's loss array and, when that is finite, every parameter's
-    gradient (None where the group leaves one untouched) of the group's
-    share count/total of the batch loss."""
-    out = []
-    for rows, count in groups:
-        for _, t in params.items():
-            t.grad = None  # so the backward leaves this group's gradient alone in it
-        with Tape() as tape:
-            loss, _ = _fused_loss(batch, rows, params, config, mask_prompt)
-            share = nm.scale(loss, count / total)
-        if math.isfinite(loss.item()):
-            tape.backward(share)
-            out.append((loss.data, [t.grad for _, t in params.items()]))
-        else:
-            out.append((loss.data, None))
-    return out
+def _share_gradients(batch: Batch, mask_prompt: bool, groups, total: int,
+                     params: ModelParams, config: ModelConfig) -> tuple:
+    """Some length groups of a batch, forward and backward on one tape: their
+    batch_loss parts, and every parameter's gradient of their share of the
+    batch loss (the parts weighted over its total positions; None where the
+    share leaves one untouched), or None when the share is not finite. The
+    gradients are left on the params too."""
+    for _, t in params.items():
+        t.grad = None  # so the backward leaves only this share's gradient in it
+    with Tape() as tape:
+        parts = batch_loss(batch, params, config, mask_prompt, groups)
+        share = _weighted_sum(parts, total)
+    if not math.isfinite(share.item()):
+        return parts, None
+    tape.backward(share)
+    return parts, [t.grad for _, t in params.items()]
+
+
+def _each_group_gradients(batch: Batch, mask_prompt: bool, groups, total: int,
+                          params: ModelParams, config: ModelConfig) -> list:
+    """_share_gradients of each length group on a tape of its own."""
+    return [_share_gradients(batch, mask_prompt, [rows], total, params, config)
+            for rows in groups]
 
 
 def _group_losses(items, mask_prompt: bool, params: ModelParams,
                   config: ModelConfig) -> list:
-    """(loss array, positions) of each (batch, rows) length group, in order
-    and forward-only, with one batch_loss call per run of one batch's groups."""
+    """batch_loss parts of each (batch, rows) length group, in order and
+    forward-only, with one batch_loss call per run of one batch's groups."""
     out = []
     for _, run in itertools.groupby(items, key=lambda item: id(item[0])):
         run = list(run)
-        out += [(loss.data, count) for loss, count in
-                batch_loss(run[0][0], params, config, mask_prompt, [rows for _, rows in run])]
+        out += batch_loss(run[0][0], params, config, mask_prompt, [rows for _, rows in run])
     return out
 
 
 def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
                     mask_prompt: bool, worker=None, last: bool = False) -> float:
-    """batch_loss's value for a training batch. When it is finite, every
-    parameter is left holding the gradient that batch_loss and one
-    Tape.backward give it.
+    """The mean NLL of a training batch. When it is finite, every parameter
+    is left holding the gradient one tape over all the batch's groups gives it.
 
     With a worker, the batch's longest length groups run there meanwhile,
-    each forward and backward on a tape of its own; the rest, or without a
-    worker every group, run in this process on one tape. The worker's
+    each on a tape of its own, and the rest here on one tape. The worker's
     groups' gradients are then added to this tape's last group first, the
-    order in which one tape over the whole batch sums them, and the value is
-    rebuilt from the groups' losses by batch_loss's own float operations.
-    If this is the worker's last use, it is told to exit once its share is
-    done: a process forked from a large one takes milliseconds to tear
-    down, and that then overlaps the rest of the run.
+    order in which one tape over the whole batch sums them. If this is the
+    worker's last use, it is told to exit once its share is done: a process
+    forked from a large one takes milliseconds to tear down, and that then
+    overlaps the rest of the run.
     """
     groups = _length_groups(batch.lengths.tolist())
-    counts = [int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups]
-    total = sum(counts)
+    total = sum(int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups)
     k = _split([_pass_cost(batch, rows) for rows in groups], worker)
     if k:
-        worker.submit(_group_gradients, list(zip(groups[:k], counts[:k])), batch, total,
-                      mask_prompt)
+        worker.submit(_each_group_gradients, batch, mask_prompt, groups[:k], total)
     if last and worker is not None:
         worker.stop()
-    with Tape() as tape:
-        parts = batch_loss(batch, params, config, mask_prompt, groups[k:])
-        share = _weighted_sum(parts, total)
-    if math.isfinite(share.item()):
-        tape.backward(share)
+    parts, _ = _share_gradients(batch, mask_prompt, groups[k:], total, params, config)
     theirs = worker.receive() if k else []
-    values = [value for value, _ in theirs] + [loss.data for loss, _ in parts]
-    loss = _weighted_sum([(Tensor(v), c) for v, c in zip(values, counts)], total).item()
-    if math.isfinite(loss):  # so every group's loss is, and every group has gradients
+    loss = _weighted_sum([p for group, _ in theirs for p in group] + parts, total).item()
+    if math.isfinite(loss):  # so every share is, and every share has gradients
         for i, (_, t) in enumerate(params.items()):
             for _, grads in reversed(theirs):
                 if grads[i] is None:
@@ -392,14 +377,12 @@ def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
     if k:
         worker.submit(_group_losses, items[:k], mask_prompt)
     mine = _group_losses(items[k:], mask_prompt, params, config)
-    by_batch = {}
-    for (batch, _), part in zip(items, (worker.receive() if k else []) + mine):
-        by_batch.setdefault(id(batch), []).append(part)
-    total_nll = 0.0
-    total_count = 0
-    for parts in by_batch.values():  # each batch's mean, as batch_loss folds it
-        count = sum(n for _, n in parts)
-        total_nll += _weighted_sum([(Tensor(v), n) for v, n in parts], count).item() * count
+    parts = (worker.receive() if k else []) + mine
+    total_nll, total_count = 0.0, 0
+    for _, run in itertools.groupby(zip(items, parts), key=lambda pair: id(pair[0][0])):
+        run = [part for _, part in run]  # one batch's parts, folded as its mean
+        count = sum(n for _, n in run)
+        total_nll += _weighted_sum(run, count).item() * count
         total_count += count
     return total_nll / total_count
 
@@ -440,23 +423,6 @@ def _openblas_threads():
                 put.restype, put.argtypes = None, [ctypes.c_int]
                 return get, put
     return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-    Yields whether the count could be set."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield False
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
 
 
 def _worker_wanted(blas_pinned: bool) -> bool:
@@ -562,13 +528,20 @@ def _training_worker(params: ModelParams, config: ModelConfig):
     """Run the block with OpenBLAS on one thread, and with a running _Worker
     where _worker_wanted says one pays (else None). The worker is stopped and
     reaped, and the thread count restored, however the block ends."""
-    with _one_blas_thread() as pinned:
-        worker = _Worker(params, config) if _worker_wanted(pinned) else None
-        try:
-            yield worker
-        finally:
-            if worker is not None:
-                worker.close()
+    threads = _openblas_threads()
+    if threads is not None:
+        get, put = threads
+        before = get()
+        put(1)
+    worker = None
+    try:
+        worker = _Worker(params, config) if _worker_wanted(threads is not None) else None
+        yield worker
+    finally:
+        if worker is not None:
+            worker.close()
+        if threads is not None:
+            put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -618,46 +591,39 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
         if verbose:
             print(f"step {0:>6d}/{cfg.total_steps}  train {init_train:.4f}  val {init_val:.4f}")
 
-        step = 0
-        epoch = 0
         window: list = []
+        batches = itertools.chain.from_iterable(  # a new shuffle each epoch, made when reached
+            make_batches(train_ex, cfg.token_budget, cfg.seed + epoch, specials.pad)
+            for epoch in itertools.count())
         try:
-            while step < cfg.total_steps:
-                for batch in make_batches(train_ex, cfg.token_budget, cfg.seed + epoch,
-                                          specials.pad):
-                    if step >= cfg.total_steps:
-                        break
-                    last = step + 1 == cfg.total_steps
-                    loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
-                                                 worker, last)
-                    if last:  # the worker exits meanwhile; the final validation runs here
-                        worker = None
-                    if not math.isfinite(loss_value):
-                        raise DivergenceError(f"non-finite training loss at step {step}")
-                    clip_gradients(params, cfg.clip_norm)
-                    try:
-                        adamw_step(params, state, lr_at(step + 1, cfg), cfg)
-                    except DivergenceError as err:
-                        raise DivergenceError(f"{err} (step {step})") from None
-                    params.zero_grad()
-                    window.append(loss_value)
-                    step += 1
-                    if step % cfg.validation_interval == 0 or step == cfg.total_steps:
-                        val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt,
-                                            worker)
-                        train_avg = sum(window) / len(window)
-                        window = []
-                        curve.append((step, train_avg, val))
-                        if val < best_val:
-                            best_val = val
-                            best_step = step
-                            best_params = params.copy()
-                            if checkpoint_path is not None:
-                                save_checkpoint(checkpoint_path, best_params)
-                        if verbose:
-                            print(f"step {step:>6d}/{cfg.total_steps}  train {train_avg:.4f}  "
-                                  f"val {val:.4f}  lr {lr_at(step, cfg):.2e}")
-                epoch += 1
+            for step, batch in zip(range(1, cfg.total_steps + 1), batches):
+                last = step == cfg.total_steps
+                loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
+                                             worker, last)
+                if last:  # the worker exits meanwhile; the final validation runs here
+                    worker = None
+                if not math.isfinite(loss_value):
+                    raise DivergenceError(f"non-finite training loss at step {step - 1}")
+                clip_gradients(params, cfg.clip_norm)
+                try:
+                    adamw_step(params, state, lr_at(step, cfg), cfg)
+                except DivergenceError as err:
+                    raise DivergenceError(f"{err} (step {step - 1})") from None
+                window.append(loss_value)
+                if step % cfg.validation_interval == 0 or last:
+                    val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
+                    train_avg = sum(window) / len(window)
+                    window = []
+                    curve.append((step, train_avg, val))
+                    if val < best_val:
+                        best_val = val
+                        best_step = step
+                        best_params = params.copy()
+                        if checkpoint_path is not None:
+                            save_checkpoint(checkpoint_path, best_params)
+                    if verbose:
+                        print(f"step {step:>6d}/{cfg.total_steps}  train {train_avg:.4f}  "
+                              f"val {val:.4f}  lr {lr_at(step, cfg):.2e}")
         except (DivergenceError, WorkerError) as err:
             err.result = TrainResult(best_params, best_val, best_step, curve)
             raise

@@ -5,6 +5,8 @@ finite differences instead of the tape, recursion instead of iterative DP,
 complex multiplication or the pairwise formulas instead of a rotation table,
 spelled-out arithmetic instead of shared helpers, a full decoder rescan per
 token instead of a cache, one row and rng.choice instead of a batched sampler.
+whole_batch_loss alone folds with the library's own helpers: it is the
+one-tape reference that split training steps must match bit for bit.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from pmrope import numerics as nm
 from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult
 from pmrope.model import SpecialTokens, decoder_forward, encode
+from pmrope.training import _length_groups, _weighted_sum, batch_loss
 
 
 def finite_diff_grad(loss_fn, tensor, eps=1e-5):
@@ -125,6 +128,15 @@ def _example_loss(ex, params, config, mask_prompt):
     if mask_prompt:
         mask[: ex.prompt_len + 1] = False  # predictions of prompt tokens and separator
     return nm.cross_entropy(logits, targets, mask), int(mask.sum())
+
+
+def whole_batch_loss(batch, params, config, mask_prompt=False):
+    """Mean NLL over every scored position of a batch, as one tape sees it:
+    batch_loss's parts of all its length groups, position-weighted; and the
+    number of positions in the mean."""
+    parts = batch_loss(batch, params, config, mask_prompt, _length_groups(batch.lengths.tolist()))
+    total = sum(count for _, count in parts)
+    return _weighted_sum(parts, total), total
 
 
 def sample_row(logits, cfg, rng):

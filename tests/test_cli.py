@@ -378,6 +378,35 @@ class TestTrainCommand:
             os.kill(int(pid_file.read_text()), 0)
         assert multiprocessing.active_children() == []
 
+    def test_non_finite_loss_exits_3_and_writes_the_curve_so_far(
+            self, tmp_path, run_config_path, corpus_dir, capsys, monkeypatch):
+        main_pid = os.getpid()
+        fused = training._fused_loss
+        steps = []  # each training step's batch, in order; this process runs some of each
+
+        def diverging(batch, *rest):
+            loss, count = fused(batch, *rest)
+            if numerics._active.stack and os.getpid() == main_pid:
+                if not any(batch is seen for seen in steps):
+                    steps.append(batch)
+                if batch is steps[-1] and len(steps) == 2:
+                    loss = numerics.scale(loss, float("nan"))
+            return loss, count
+
+        monkeypatch.setattr(training, "_fused_loss", diverging)
+        out = tmp_path / "m.pmrt"
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        assert ("error: non-finite training loss at step 1 (best checkpoint retained at"
+                in capsys.readouterr().err)
+        assert load_checkpoint(out).config == ModelConfig(**SMALL_RUN["model"])
+        with open(str(out) + ".losses.csv") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "step,train_loss,val_loss"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0"]
+        assert multiprocessing.active_children() == []
+
     def test_missing_corpus_exits_2(self, tmp_path, run_config_path):
         code = main(["train", "--config", run_config_path, "--corpus",
                      str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.pmrt"), "--quiet"])
@@ -451,6 +480,19 @@ class TestGenerateCommand:
                      flag, value])
         assert code == 2
         assert f"MAX_TARGET_LEN = {MAX_TARGET_LEN}" in capsys.readouterr().err
+
+    def test_target_seconds_past_the_float_range_exits_2(self, checkpoint, capsys):
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                     "--target-seconds", "1e307"])
+        assert code == 2
+        assert "1e+307 s at 50 frames per second does not fit a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999"])
+    def test_text_token_past_int64_exits_2(self, checkpoint, capsys, token):
+        code = main(["generate", "--checkpoint", str(checkpoint), "--text", f"1,{token}",
+                     "--oracle-length", "4"])
+        assert code == 2
+        assert "text token outside [0, " in capsys.readouterr().err
 
     def test_out_of_range_prompt_token_exits_2(self, checkpoint):
         code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
@@ -676,6 +718,12 @@ class TestPathKinds:
         assert "Not a directory" in capsys.readouterr().err
 
 
+    def test_corpus_out_that_is_a_file(self, tmp_path, run_config_path, capsys):
+        code = main(["corpus", "--config", run_config_path, "--out", run_config_path])
+        assert code == 2
+        assert "File exists" in capsys.readouterr().err
+
+
 class TestDurationCommand:
     def test_reference_ratio_output(self, capsys):
         assert main(["duration", "--ref-seconds", "5.0", "--ref-units", "50",
@@ -692,6 +740,22 @@ class TestDurationCommand:
         err = capsys.readouterr().err
         for tag in ("EN", "JA", "ZH"):
             assert tag in err
+
+    def test_reference_duration_past_the_float_range_exits_2(self, capsys):
+        assert main(["duration", "--ref-seconds", "1e307", "--ref-units", "1",
+                     "--tgt-units", "1"]) == 2
+        assert "1e+307 s at 50 frames per second does not fit a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, name", [("--tgt-units", "target unit count"),
+                                            ("--ref-units", "reference unit count"),
+                                            ("--frame-rate", "frame rate")])
+    def test_count_past_the_float_range_exits_2(self, capsys, flag, name):
+        args = {"--ref-seconds": "5.0", "--ref-units": "50", "--tgt-units": "100"}
+        if flag == "--tgt-units":  # by the default rate, as in the reference case below
+            args = {"--lang": "EN", "--tgt-units": "20"}
+        args[flag] = "1" + "0" * 400
+        assert main(["duration", *(part for item in args.items() for part in item)]) == 2
+        assert f"{name} 1{'0' * 400} does not fit a float" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import os

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import finite_diff_grad, max_rel_err
+from oracles import finite_diff_grad, max_rel_err, whole_batch_loss
 from pmrope import model, training
 from pmrope import numerics as nm
 from pmrope.model import (
@@ -307,7 +307,7 @@ class TestRotationTables:
         monkeypatch.setattr(training, "decoder_batch", counted_pass)
         shapes = self.record_builds(monkeypatch)
         with nm.Tape() as tape:
-            loss, _ = training.batch_loss(batch, params, config, mask_prompt=True)
+            loss, _ = whole_batch_loss(batch, params, config, mask_prompt=True)
         tape.backward(loss)
         assert passes
         want = []

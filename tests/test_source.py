@@ -1,5 +1,6 @@
 """Static checks on the package source: every module reads what it imports,
-and only the model builds progress ids.
+only the model builds progress ids, one function opens every tape, and no
+module zeroes gradients.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -54,3 +55,17 @@ def test_only_the_model_builds_progress_ids():
     callers = sorted(p.name for p in PACKAGE.glob("*.py")
                      if calls_of(p.read_text(encoding="utf-8"), "progress_ids"))
     assert callers == ["model.py"]
+
+
+def test_one_function_opens_every_tape():
+    # _share_gradients runs every training step's tapes, in both processes
+    callers = {p.name: calls_of(p.read_text(encoding="utf-8"), "Tape")
+               for p in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in callers.items() if n} == {"training.py": 1}
+
+
+def test_no_module_zeroes_gradients():
+    # each share starts its parameters' gradients at None instead
+    callers = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if calls_of(p.read_text(encoding="utf-8"), "zero_grad"))
+    assert callers == []

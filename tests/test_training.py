@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import _example_loss
+from oracles import _example_loss, whole_batch_loss
 from pmrope import numerics as nm
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.numerics import Tape, Tensor
@@ -21,7 +21,6 @@ from pmrope.training import (
     OptimState,
     TrainConfig,
     adamw_step,
-    batch_loss,
     build_example,
     clip_gradients,
     lr_at,
@@ -271,7 +270,7 @@ class TestBatchLoss:
         batches = make_batches(examples, 4096, seed=0, pad_id=SpecialTokens.for_vocab(64).pad)
 
         batch = batches[0]
-        loss, count = batch_loss(batch, params, model_config)
+        loss, count = whole_batch_loss(batch, params, model_config)
         total_nll = 0.0
         total_n = 0
         for ex in batch.examples:
@@ -287,8 +286,8 @@ class TestBatchLoss:
         examples = corpus_examples(corpus, model_config)[:1]
         params = init_params(model_config, seed=0)
         batch = make_batches(examples, 4096, seed=0, pad_id=SpecialTokens.for_vocab(64).pad)[0]
-        _, n_all = batch_loss(batch, params, model_config, mask_prompt=False)
-        masked, n_masked = batch_loss(batch, params, model_config, mask_prompt=True)
+        _, n_all = whole_batch_loss(batch, params, model_config, mask_prompt=False)
+        masked, n_masked = whole_batch_loss(batch, params, model_config, mask_prompt=True)
         assert n_all - n_masked == examples[0].prompt_len + 1
         expected, n_oracle = _example_loss(examples[0], params, model_config, True)
         assert n_oracle == n_masked
@@ -308,7 +307,7 @@ class TestBatchLoss:
 
         def losses(params):
             with Tape() as tape:
-                loss, count = batch_loss(batch, params, model_config, mask_prompt)
+                loss, count = whole_batch_loss(batch, params, model_config, mask_prompt)
             tape.backward(loss)
             return loss.item(), count, {n: t.grad.copy() for n, t in params.items()}
 
@@ -374,13 +373,13 @@ class TestSplitSteps:
                 shared = training._split([training._pass_cost(batch, rows) for rows in groups],
                                          worker)
                 assert 0 < shared < len(groups)
-                params.zero_grad()
+                for _, t in params.items():
+                    t.grad = None  # the reference tape starts from none, as each step does
                 with Tape() as tape:
-                    want, _ = batch_loss(batch, params, SPLIT_MODEL, mask_prompt)
+                    want, _ = whole_batch_loss(batch, params, SPLIT_MODEL, mask_prompt)
                 tape.backward(want)
                 want_grads = {n: t.grad.tobytes() for n, t in params.items()}
                 for split_with, last in ((None, False), (worker, False), (worker, True)):
-                    params.zero_grad()
                     value = training._step_gradients(batch, params, SPLIT_MODEL, mask_prompt,
                                                      split_with, last and batch is batches[-1])
                     assert np.asarray(value, dtype).tobytes() == want.data.tobytes()
@@ -388,6 +387,54 @@ class TestSplitSteps:
                         assert t.grad.tobytes() == want_grads[name], name
             worker.process.join(10)
             assert worker.process.exitcode == 0  # told to exit once its last share was done
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("worker_on", [False, True], ids=["alone", "with_worker"])
+    def test_each_step_starts_from_no_gradient(self, monkeypatch, worker_on):
+        # no zeroing between steps: a step leaves exactly the gradients of a
+        # fresh step on its batch, whatever the step before it left
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: worker_on)
+        examples = corpus_examples(small_corpus(n_train=40), SPLIT_MODEL)
+        first, second = [b for b in make_batches(examples, 512, seed=0,
+                                                 pad_id=SpecialTokens.for_vocab(64).pad)
+                         if len(training._length_groups(b.lengths.tolist())) >= 2][:2]
+        params = init_params(SPLIT_MODEL, seed=0)
+        training._share(params)
+        with training._training_worker(params, SPLIT_MODEL) as worker:
+            assert (worker is not None) == worker_on
+            fresh = training._step_gradients(second, params, SPLIT_MODEL, False, worker)
+            want = {n: t.grad.tobytes() for n, t in params.items()}
+            training._step_gradients(first, params, SPLIT_MODEL, False, worker)
+            value = training._step_gradients(second, params, SPLIT_MODEL, False, worker)
+        assert value == fresh
+        for name, t in params.items():
+            assert t.grad.tobytes() == want[name], name
+
+    @pytest.mark.parametrize("where", ["main", "worker"])
+    def test_non_finite_loss_at_the_second_step(self, monkeypatch, where):
+        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(training, "_split",
+                            lambda costs, worker: len(costs) - 1 if worker else 0)
+        corpus = small_corpus(n_train=40)
+        cfg = TrainConfig(total_steps=2, validation_interval=2, token_budget=512)
+        batches = make_batches(corpus_examples(corpus, SPLIT_MODEL), cfg.token_budget, cfg.seed,
+                               SpecialTokens.for_vocab(64).pad)
+        second = batches[1]  # step 1's batch: the first epoch has more than one
+        assert len(training._length_groups(second.lengths.tolist())) >= 2
+        main_pid = os.getpid()
+        fused = training._fused_loss
+
+        def diverging(batch, *rest):
+            loss, count = fused(batch, *rest)
+            if (nm._active.stack and in_worker(main_pid) == (where == "worker")
+                    and np.array_equal(batch.tokens, second.tokens)):
+                loss = nm.scale(loss, math.nan)
+            return loss, count
+
+        monkeypatch.setattr(training, "_fused_loss", diverging)
+        with pytest.raises(DivergenceError, match=r"^non-finite training loss at step 1$") as err:
+            train(corpus, cfg, SPLIT_MODEL)
+        assert [step for step, _, _ in err.value.result.curve] == [0]
         assert multiprocessing.active_children() == []
 
     def test_split_balances_cost_and_keeps_the_last_item(self):
@@ -408,7 +455,7 @@ class TestSplitSteps:
         serial = training.evaluate_loss(examples, params, SPLIT_MODEL, True)
         nll = count = 0
         for batch in batches:  # the per-batch sum evaluate_loss made before the split
-            loss, n = batch_loss(batch, params, SPLIT_MODEL, True)
+            loss, n = whole_batch_loss(batch, params, SPLIT_MODEL, True)
             nll += loss.item() * n
             count += n
         assert serial == nll / count
