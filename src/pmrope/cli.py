@@ -105,17 +105,16 @@ def _parse_tokens(text: str) -> list:
 def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: SamplerConfig):
     """Generate at oracle target lengths and score the result set.
 
-    The utterances decode as one lockstep batch per prompt length; every
-    corpus prompt has the same length, so a split is one batch. Per-utterance
-    sampler seeds derive as base seed + index, so two configurations
-    evaluated on the same split are exactly paired. Returns (reports,
-    per-utterance detail dict).
+    The utterances decode as one batch with one sampler: prompt_for renders
+    every prompt of a corpus at one length, and utterance i samples with seed
+    sampler.seed + i, so two configurations evaluated on the same split are
+    exactly paired. Returns (reports, per-utterance detail dict).
     """
     alphabets = spec.style_alphabets()
     prompts = [prompt_for(utt, spec) for utt in utterances]
     results = generate_batch(
         [(utt.text, prompt, utt.duration_tokens) for utt, prompt in zip(utterances, prompts)],
-        params, config, [replace(sampler, seed=sampler.seed + i) for i in range(len(utterances))])
+        params, config, sampler)
     error_rates = []
     similarities = []
     target_seconds = []
@@ -144,9 +143,9 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
     return reports, detail
 
 
-def _write_reports(path, reports) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([asdict(r) for r in reports], fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
@@ -253,7 +252,7 @@ def cmd_eval(args) -> int:
     utterances = _test_slice(corpus, args.limit, config)
     sampler = SamplerConfig(seed=args.seed)
     reports, detail = evaluate_model(params, config, corpus.spec, utterances, sampler)
-    _write_reports(args.report, reports)
+    _write_json(args.report, [asdict(r) for r in reports])
     scatter = args.scatter if args.scatter else str(args.report) + ".scatter.csv"
     _write_scatter(scatter, detail)
     for report in reports:
@@ -278,10 +277,7 @@ def cmd_ablate(args) -> int:
         metric: blocks["pm_on"][metric]["mean"] - blocks["pm_off"][metric]["mean"]
         for metric in ("error_rate", "style_similarity", "duration_accuracy")
     }
-    payload = {"configurations": blocks, "deltas": deltas}
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.report, {"configurations": blocks, "deltas": deltas})
     for label, block in blocks.items():
         print(f"{label}: " + "  ".join(f"{m}={block[m]['mean']:.4f}" for m in block))
     print("deltas: " + "  ".join(f"{m}={v:+.4f}" for m, v in deltas.items()))

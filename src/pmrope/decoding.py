@@ -2,21 +2,21 @@
 
 The decoder stream opens with bos + prompt + separator; a row's progress
 spans that prefix plus the requested target length, mirroring training.
-Decoding is incremental and batched: generate_batch encodes every text in one
-pass, then decodes one lockstep batch per prompt length. A batch runs its
-prefixes, all of one length, through the decoder in one prefill pass that
-fills a DecoderCache, then runs every unfinished row's newest token in one
-pass per step. Each row keeps its own target, length cap and random
-generator, so it samples exactly the tokens it would sample alone; a row
-leaves the batch when it stops. Every row still in the batch has kept one
-token per step, so one step counter is the length of each, and the cache's
-length is the prefix plus that count. generate is a batch of one. Each pass
-hands decoder_batch every live row's text length and total length (prefix
-plus target), from which, with the cache's length, the decoder builds the
-progress of the positions it runs, those past the target that
-over-generation reaches included. At each step one filter_and_sample call
-takes the logits of every unfinished row through temperature scaling, top-k,
-then nucleus filtering as one matrix; each row then draws from its own
+Decoding is incremental and batched: generate_batch takes requests whose
+prompts all have one length and one SamplerConfig, encodes every text in one
+pass, runs the prefixes through the decoder in one prefill pass that fills a
+DecoderCache, then runs every unfinished row's newest token in one pass per
+step. Row i draws from its own generator, seeded sampler.seed + i, and keeps
+its own target and length cap, so it samples exactly the tokens it would
+sample alone; a row leaves the batch when it stops. Every row still in the
+batch has kept one token per step, so one step counter is the length of
+each, and the cache's length is the prefix plus that count. generate is a
+batch of one. Each pass hands decoder_batch every live row's text length and
+total length (prefix plus target), from which, with the cache's length, the
+decoder builds the progress of the positions it runs, those past the target
+that over-generation reaches included. At each step one filter_and_sample
+call takes the logits of every unfinished row through temperature scaling,
+top-k, then nucleus filtering as one matrix; each row then draws from its own
 generator exactly the token Generator.choice would draw from its support, so
 batching changes no sampled token. Generation stops at eos or at a 1.2x
 length cap (slack enough for the +/-10% duration-accuracy window to register
@@ -38,7 +38,6 @@ from .model import (
     decoder_batch,
     encode_batch,
 )
-from .numerics import Tensor
 
 LENGTH_CAP_FACTOR = 1.2
 # longest target generate_batch accepts, about 82 s at 50 Hz and some 40 times
@@ -70,22 +69,20 @@ class GenerationResult:
     target_len: int
 
 
-def filter_and_sample(logits, samplers, rngs) -> np.ndarray:
+def filter_and_sample(logits, sampler: SamplerConfig, rngs) -> np.ndarray:
     """One token per row of [rows, V] logits: temperature -> top-k -> smallest
     nucleus with mass >= top_p -> sample.
 
-    samplers and rngs hold one SamplerConfig and one Generator per row, and
-    rows may differ in all three settings. Everything up to the nucleus cut
-    runs over the whole matrix at once. Each row then normalises its support
-    and draws one rng.random() from its own generator, through the cdf that
-    Generator.choice(support, p=probs) builds, so every row draws exactly the
-    token, and advances its generator exactly as far, as that call would.
-    The nucleus boundary uses >= (a token landing exactly on top_p stays in);
-    a tiny slack absorbs float rounding of that tie. A row whose
-    probabilities are not finite raises ValueError.
+    Every row uses sampler's settings and draws from its own generator in
+    rngs. Everything up to the nucleus cut runs over the whole matrix at once.
+    Each row then normalises its support and draws one rng.random() from its
+    generator, through the cdf that Generator.choice(support, p=probs)
+    builds, so every row draws exactly the token, and advances its generator
+    exactly as far, as that call would. The nucleus boundary uses >= (a token
+    landing exactly on top_p stays in); a tiny slack absorbs float rounding of
+    that tie. A row whose probabilities are not finite raises ValueError.
     """
-    temperature = np.array([s.temperature for s in samplers])
-    z = np.asarray(logits, dtype=np.float64) / temperature[:, None]
+    z = np.asarray(logits, dtype=np.float64) / sampler.temperature
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=1, keepdims=True)
@@ -93,10 +90,9 @@ def filter_and_sample(logits, samplers, rngs) -> np.ndarray:
     ranked = p[np.arange(len(p))[:, None], order]
     # ranked rows are non-increasing, so their running mass is non-decreasing
     # and the tokens below top_p form a prefix of each row
-    below = (ranked.cumsum(axis=1)
-             < np.array([s.top_p - 1e-12 for s in samplers])[:, None]).sum(axis=1)
+    below = (ranked.cumsum(axis=1) < sampler.top_p - 1e-12).sum(axis=1)
     tokens = np.empty(len(p), dtype=np.int64)
-    for row, (sampler, rng, n) in enumerate(zip(samplers, rngs, below.tolist())):
+    for row, (rng, n) in enumerate(zip(rngs, below.tolist())):
         support = ranked[row, :min(n + 1, sampler.top_k)]
         mass = support.sum()
         if not mass > 0.0:  # a NaN logit or an infinite row max makes the row all NaN
@@ -115,22 +111,19 @@ def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelPar
     support; eos stays available as the stop signal.
     """
     return generate_batch([(text_tokens, prompt_audio_tokens, target_len)], params, config,
-                          [sampler])[0]
+                          sampler)[0]
 
 
 def generate_batch(requests, params: ModelParams, config: ModelConfig,
-                   samplers) -> list:
-    """generate for each (text, prompt, target_len) request.
+                   sampler: SamplerConfig) -> list:
+    """generate for each (text, prompt, target_len) request, as one lockstep batch.
 
-    samplers holds one SamplerConfig per request. Every request is checked
-    and every text encoded before the first decoder pass; the requests then
-    decode in one lockstep batch per prompt length. Results come back in
-    request order.
+    Every prompt must have one length. Request i samples with sampler's
+    settings and seed sampler.seed + i, so it gets exactly what generate
+    gives it with that seed. Every request is checked and every text encoded
+    before the first decoder pass. Results come back in request order.
     """
     requests = list(requests)
-    samplers = list(samplers)
-    if len(samplers) != len(requests):
-        raise ValueError(f"{len(samplers)} samplers for {len(requests)} requests")
     if not requests:
         return []
     for _, _, target_len in requests:
@@ -139,36 +132,22 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
         if target_len > MAX_TARGET_LEN:
             raise ValueError(f"target_len must be <= MAX_TARGET_LEN = {MAX_TARGET_LEN}, "
                              f"got {target_len}")
+    prompt_lens = sorted({len(prompt) for _, prompt, _ in requests})
+    if len(prompt_lens) > 1:
+        raise ValueError(f"a batch's prompts must have one length, got lengths {prompt_lens}")
     enc_states, text_lens = encode_batch([text for text, _, _ in requests], params, config)
-    groups = {}
-    for i, (_, prompt, _) in enumerate(requests):
-        groups.setdefault(len(prompt), []).append(i)
-    results = [None] * len(requests)
-    for rows in groups.values():
-        decoded = _decode_lockstep(
-            [requests[i] for i in rows], [samplers[i] for i in rows],
-            Tensor(enc_states.data[rows]), text_lens[rows], params, config)
-        for i, result in zip(rows, decoded):
-            results[i] = result
-    return results
-
-
-def _decode_lockstep(requests, samplers, enc_states: Tensor, text_lens,
-                     params: ModelParams, config: ModelConfig) -> list:
-    """Decode requests whose prompts all have one length as one lockstep batch,
-    from their encoder states; results come back in request order."""
     specials = SpecialTokens.for_vocab(config.audio_vocab)
     n = len(requests)
     inputs = np.array([[specials.bos, *(int(t) for t in prompt), specials.separator]
                        for _, prompt, _ in requests], dtype=np.int64)
     caps = np.array([math.ceil(LENGTH_CAP_FACTOR * target_len) for _, _, target_len in requests])
     total_lens = inputs.shape[1] + np.array([target_len for _, _, target_len in requests])
-    rngs = [np.random.default_rng(sampler.seed) for sampler in samplers]
+    rngs = [np.random.default_rng(sampler.seed + i) for i in range(n)]
     blocked = [specials.pad, specials.separator, specials.bos]
 
     # every live row has kept one token per step, so step counts the tokens of
     # each; live holds the request index of each batch row and is cut, with
-    # samplers, rngs and the cache, to the kept rows when rows stop
+    # rngs and the cache, to the kept rows when rows stop
     live = np.arange(n)
     step = 0
     lengths = np.zeros(n, dtype=np.int64)
@@ -181,7 +160,7 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, text_lens,
                                params, config)
         rows = logits.data[:, -1].astype(np.float64)
         rows[:, blocked] = -np.inf
-        sampled = filter_and_sample(rows, samplers, rngs)
+        sampled = filter_and_sample(rows, sampler, rngs)
         going = sampled != specials.eos
         out[live, step] = sampled  # an eos lands just past its row's length, never read
         step += 1
@@ -192,7 +171,6 @@ def _decode_lockstep(requests, samplers, enc_states: Tensor, text_lens,
                 break
             cache.select(keep)
             live = live[keep]
-            samplers = [samplers[j] for j in keep]
             rngs = [rngs[j] for j in keep]
         inputs = sampled[keep, None]
     # a row that stopped short of its cap stopped at eos

@@ -16,10 +16,6 @@ DEFAULT_RATES = {"EN": 0.085, "JA": 0.10, "ZH": 0.27}
 
 DEFAULT_FRAME_RATE = 50
 
-#: relative slack on seconds * frame_rate before flooring, so that n / rate
-#: seconds give back n tokens although n / rate * rate may round below n
-_ROUNDING_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class DurationEstimate:
@@ -64,7 +60,8 @@ def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
 def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
     """floor(seconds * frame_rate) up to float rounding, clamped to at least one token.
 
-    Accepts a DurationEstimate or plain seconds.
+    n / frame_rate seconds give back n tokens, although n / rate * rate may
+    round below n. Accepts a DurationEstimate or plain seconds.
     """
     seconds = estimate.seconds if isinstance(estimate, DurationEstimate) else _as_float(
         estimate, "duration")
@@ -74,7 +71,10 @@ def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:
         raise ValueError(f"duration must be positive, got {seconds}")
     if frame_rate < 1:
         raise ValueError(f"frame rate must be >= 1, got {frame_rate}")
-    tokens = seconds * _as_float(frame_rate, "frame rate") * (1.0 + _ROUNDING_SLACK)
+    tokens = seconds * _as_float(frame_rate, "frame rate")
     if math.isinf(tokens):
         raise ValueError(f"{seconds} s at {frame_rate} frames per second does not fit a float")
-    return max(1, math.floor(tokens))
+    n = math.floor(tokens)
+    if (n + 1) / frame_rate <= seconds:  # the product rounded below a whole token
+        n += 1
+    return max(1, n)

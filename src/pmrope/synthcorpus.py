@@ -278,6 +278,8 @@ def _utterance_from_record(rec, where: str, spec: SymbolSpec, audio_vocab: int) 
         ("style_id", 0 <= rec["style_id"] < spec.n_styles, f"in [0, {spec.n_styles})"),
         ("stretch", rec["stretch"] >= 1, ">= 1"),
         ("duration_tokens", rec["duration_tokens"] >= 1, ">= 1"),
+        ("duration_tokens", rec["duration_tokens"] == len(rec["audio"]),
+         f"the audio's length {len(rec['audio'])}"),
     )
     for key, ok, wanted in ranges:
         if not ok:
@@ -292,7 +294,8 @@ def load_corpus(corpus_dir) -> Corpus:
     mistyped or out-of-range field) raises ValueError naming the file, the
     line number and, for a field, the key. The manifest sets the ranges:
     text ids below n_symbols, audio ids below audio_vocab or the silence id,
-    style_id below n_styles, stretch and duration_tokens at least 1.
+    style_id below n_styles, stretch and duration_tokens at least 1, and
+    duration_tokens the audio's length.
     """
     config, audio_vocab = load_manifest(corpus_dir)
     corpus = Corpus(config=config, audio_vocab=audio_vocab,

@@ -245,9 +245,12 @@ class TestTrainCommand:
         ("val.jsonl", lambda r: dict(r, stretch=0), "line 2: key 'stretch' must be >= 1"),
         ("val.jsonl", lambda r: dict(r, duration_tokens=0),
          "line 2: key 'duration_tokens' must be >= 1"),
+        ("val.jsonl", lambda r: dict(r, duration_tokens=len(r["audio"]) + 1),
+         "line 2: key 'duration_tokens' must be the audio's length"),
     ], ids=["manifest_without_config", "null_audio_vocab", "record_without_style_id",
             "null_audio", "empty_text", "text_id_out_of_range", "audio_id_out_of_range",
-            "style_id_out_of_range", "zero_stretch", "zero_duration_tokens"])
+            "style_id_out_of_range", "zero_stretch", "zero_duration_tokens",
+            "duration_tokens_not_the_audio_length"])
     def test_malformed_corpus_exits_2(self, tmp_path, run_config_path, corpus_dir, capsys,
                                       filename, edit, message):
         path = corpus_dir / filename
@@ -729,6 +732,11 @@ class TestDurationCommand:
         assert main(["duration", "--ref-seconds", "5.0", "--ref-units", "50",
                      "--tgt-units", "100"]) == 0
         assert capsys.readouterr().out.strip() == "10.000 s, 500 tokens"
+
+    def test_large_duration_adds_no_token(self, capsys):
+        assert main(["duration", "--ref-seconds", "40000000", "--ref-units", "1",
+                     "--tgt-units", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "40000000.000 s, 2000000000 tokens"
 
     def test_default_rate_output(self, capsys):
         assert main(["duration", "--lang", "EN", "--tgt-units", "20"]) == 0

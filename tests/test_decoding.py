@@ -22,7 +22,7 @@ from pmrope.numerics import Tensor
 
 def sample_many(logits, cfg, n=500, seed=0):
     rng = np.random.default_rng(seed)
-    return [int(filter_and_sample(np.asarray(logits)[None], [cfg], [rng])[0]) for _ in range(n)]
+    return [int(filter_and_sample(np.asarray(logits)[None], cfg, [rng])[0]) for _ in range(n)]
 
 
 def oracle_support(logits, cfg):
@@ -110,10 +110,11 @@ class TestFilterAndSample:
 
 @st.composite
 def sampler_batches(draw):
-    """[rows, V] logits with per-row samplers and generator seeds. Rounded
+    """[rows, V] logits with one sampler and per-row generator seeds. Rounded
     logits force ties, -inf columns are blocked (never a whole row), top_k
-    runs past V, and top_p is 1, arbitrary, or the exact running mass of the
-    sorted softmax at some rank, so the nucleus boundary lands on a tie."""
+    runs past V, and top_p is 1, arbitrary, or the exact running mass of one
+    row's sorted softmax at some rank, so that row's nucleus boundary lands
+    on a tie."""
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = gen.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), size=(rows, width))
@@ -123,18 +124,16 @@ def sampler_batches(draw):
     blocked = gen.random((rows, width)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
     blocked[np.arange(rows), gen.integers(0, width, size=rows)] = False
     logits[blocked] = -np.inf
-    samplers = []
-    for row in logits:
-        temperature = draw(st.sampled_from([0.05, 0.7, 1.0, 3.0]))
-        z = row / temperature
-        p = np.exp(z - z.max())
-        mass = np.cumsum(np.sort(p / p.sum())[::-1])
-        top_p = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0),
-                               st.sampled_from([min(float(m), 1.0) for m in mass])))
-        samplers.append(SamplerConfig(top_k=draw(st.integers(1, width + 3)), top_p=top_p,
-                                      temperature=temperature))
+    temperature = draw(st.sampled_from([0.05, 0.7, 1.0, 3.0]))
+    z = logits[draw(st.integers(0, rows - 1))] / temperature
+    p = np.exp(z - z.max())
+    mass = np.cumsum(np.sort(p / p.sum())[::-1])
+    top_p = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0),
+                           st.sampled_from([min(float(m), 1.0) for m in mass])))
+    sampler = SamplerConfig(top_k=draw(st.integers(1, width + 3)), top_p=top_p,
+                            temperature=temperature)
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
-    return logits, samplers, seeds
+    return logits, sampler, seeds
 
 
 class TestBatchedSampler:
@@ -143,20 +142,20 @@ class TestBatchedSampler:
     @settings(max_examples=300, deadline=None)
     @given(sampler_batches())
     def test_draws_what_the_oracle_draws(self, batch):
-        logits, samplers, seeds = batch
+        logits, sampler, seeds = batch
         fast = [np.random.default_rng(s) for s in seeds]
         slow = [np.random.default_rng(s) for s in seeds]
         for _ in range(3):  # the generators must also advance alike
-            tokens = filter_and_sample(logits, samplers, fast)
-            assert tokens.tolist() == [sample_row(row, cfg, rng)
-                                       for row, cfg, rng in zip(logits, samplers, slow)]
+            tokens = filter_and_sample(logits, sampler, fast)
+            assert tokens.tolist() == [sample_row(row, sampler, rng)
+                                       for row, rng in zip(logits, slow)]
 
     def test_nan_row_raises_by_name(self):
         logits = np.random.default_rng(0).normal(size=(4, 9))
         logits[2, 5] = np.nan
         rngs = [np.random.default_rng(i) for i in range(4)]
         with pytest.raises(ValueError, match="row 2 are not finite"):
-            filter_and_sample(logits, [SamplerConfig()] * 4, rngs)
+            filter_and_sample(logits, SamplerConfig(), rngs)
 
 
 class TestGenerate:
@@ -327,15 +326,14 @@ class TestLockstepDecoding:
     # rows stop at eos and at the cap, after different numbers of steps
     LOCKSTEP = [([1, 2, 3], [0, 1], 12), ([4], [5, 2], 5), ([2, 5, 0, 1, 3], [3, 3], 1),
                 ([3, 3, 3, 3, 3, 3, 3], [2, 0], 9)]
-    # prompt lengths 2, 0, 2, 3, 0, 3, 2 interleave three batches
+    # prompt lengths 2, 0, 2, 3, 0, 3, 2: one batch per length
     MIXED = [([1, 2, 3], [0, 1], 12), ([4], [], 5), ([2, 5, 0, 1, 3], [3, 3], 1),
              ([0, 1], [6, 4, 1], 9), ([3, 3, 3, 3, 3, 3, 3], [], 3), ([5], [2, 2, 2], 4),
              ([1, 1], [7, 0], 7)]
 
     @staticmethod
-    def samplers(seed, n):
-        return [SamplerConfig(top_k=13, top_p=1.0, temperature=1.0, seed=10 * seed + i)
-                for i in range(n)]
+    def sampler(seed):  # the full support: rows stop at eos and at the cap
+        return SamplerConfig(top_k=13, top_p=1.0, temperature=1.0, seed=10 * seed)
 
     @pytest.mark.parametrize("model", ["tiny_model", "tiny_model_f64"])
     def test_rows_match_the_rescan_oracle(self, request, model):
@@ -345,15 +343,18 @@ class TestLockstepDecoding:
         for pm_rope in (True, False):
             cfg = replace(config, pm_rope_enabled=pm_rope)
             for seed in range(8):
-                samplers = self.samplers(seed, len(self.MIXED))
-                results = generate_batch(self.MIXED, params, cfg, samplers)
-                for (text, prompt, target_len), sampler, fast in zip(self.MIXED, samplers,
-                                                                     results):
-                    slow = generate_rescan(text, prompt, target_len, params, cfg, sampler)
-                    assert (fast.tokens, fast.stop_reason) == (slow.tokens, slow.stop_reason)
-                    assert fast.target_len == target_len
-                    reasons.add(fast.stop_reason)
-                ragged_finish |= len({r.generated_len for r in results}) > 1
+                sampler = self.sampler(seed)
+                for length in sorted({len(prompt) for _, prompt, _ in self.MIXED}):
+                    batch = [r for r in self.MIXED if len(r[1]) == length]
+                    results = generate_batch(batch, params, cfg, sampler)
+                    for i, ((text, prompt, target_len), fast) in enumerate(zip(batch, results)):
+                        slow = generate_rescan(text, prompt, target_len, params, cfg,
+                                               replace(sampler, seed=sampler.seed + i))
+                        assert (fast.tokens, fast.stop_reason) == (slow.tokens,
+                                                                   slow.stop_reason)
+                        assert fast.target_len == target_len
+                        reasons.add(fast.stop_reason)
+                    ragged_finish |= len({r.generated_len for r in results}) > 1
         assert reasons == {"eos", "length_cap"}
         assert ragged_finish
 
@@ -377,8 +378,7 @@ class TestLockstepDecoding:
         ragged_finish = False
         for seed in range(3):
             passes.clear()
-            results = generate_batch(self.LOCKSTEP, params, config,
-                                     self.samplers(seed, len(self.LOCKSTEP)))
+            results = generate_batch(self.LOCKSTEP, params, config, self.sampler(seed))
             # a row takes part in one pass per token it sampled, eos included
             steps = [r.generated_len + (r.stop_reason == "eos") for r in results]
             assert len(passes) == max(steps)
@@ -421,11 +421,15 @@ class TestLockstepDecoding:
             assert (k[0] == before[name][0][0]).all()
             assert (v[0] == before[name][1][0]).all()
 
-    def test_sampler_count_must_match(self, tiny_model):
+    def test_mixed_prompt_lengths_raise_before_any_work(self, tiny_model, monkeypatch):
         params, config = tiny_model
-        with pytest.raises(ValueError, match="2 samplers for 1 requests"):
-            generate_batch([([1], [], 3)], params, config, [SamplerConfig()] * 2)
-        assert generate_batch([], params, config, []) == []
+        calls = []
+        monkeypatch.setattr(decoding, "encode_batch", lambda *args: calls.append(args))
+        monkeypatch.setattr(decoding, "decoder_batch", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"one length, got lengths \[0, 2\]"):
+            generate_batch(self.MIXED[:2], params, config, SamplerConfig())
+        assert generate_batch([], params, config, SamplerConfig()) == []
+        assert calls == []
 
     @pytest.mark.parametrize("bad, message", [
         (([1], [], 0), "target_len must be >= 1"),
@@ -442,11 +446,10 @@ class TestLockstepDecoding:
             generate(*bad, params, config, SamplerConfig())
         calls = []
         monkeypatch.setattr(decoding, "decoder_batch", lambda *args: calls.append(args))
-        # the bad request's prompt length differs, so it would decode in a
-        # later batch: it must fail before any decoder pass
+        # the bad request comes last: it must fail before any decoder pass
         with pytest.raises(ValueError, match=message):
-            generate_batch([([2], [0], 4), ([3, 1], [5], 2), bad], params, config,
-                           [SamplerConfig()] * 3)
+            generate_batch([([2], [], 4), ([3, 1], [], 2), bad], params, config,
+                           SamplerConfig())
         assert calls == []
 
 
@@ -462,15 +465,30 @@ def test_reference_checkpoint_samples_what_the_oracle_samples(monkeypatch, pm_ro
     corpus = synthcorpus.generate_corpus(synthcorpus.CorpusConfig(seed=0), config.audio_vocab)
     requests = [(u.text, synthcorpus.prompt_for(u, corpus.spec), u.duration_tokens)
                 for u in corpus.test[:40]]
-    samplers = [SamplerConfig(seed=1000 + i) for i in range(len(requests))]
-    fast = generate_batch(requests, params, config, samplers)
+    sampler = SamplerConfig(seed=1000)
+    fast = generate_batch(requests, params, config, sampler)
 
-    def row_by_row(logits, samplers, rngs):
-        return np.array([sample_row(row, cfg, rng)
-                         for row, cfg, rng in zip(logits, samplers, rngs)])
+    def row_by_row(logits, sampler, rngs):
+        return np.array([sample_row(row, sampler, rng) for row, rng in zip(logits, rngs)])
 
     monkeypatch.setattr(decoding, "filter_and_sample", row_by_row)
-    slow = generate_batch(requests, params, config, samplers)
+    slow = generate_batch(requests, params, config, sampler)
     assert [(r.tokens, r.stop_reason) for r in fast] == [(r.tokens, r.stop_reason) for r in slow]
     assert sum(r.generated_len for r in fast) > 10 * len(requests)
     assert {r.stop_reason for r in fast} == {"eos", "length_cap"}
+
+
+@pytest.mark.parametrize("sampler", [SamplerConfig(seed=1000),
+                                     SamplerConfig(top_k=5, top_p=0.7, temperature=1.3, seed=7)],
+                         ids=["default", "top_k_5_top_p_0.7_temperature_1.3"])
+def test_row_i_of_a_batch_is_generate_with_seed_plus_i(sampler):
+    params = checkpoint.load_checkpoint(REFERENCE)
+    corpus = synthcorpus.generate_corpus(synthcorpus.CorpusConfig(seed=0),
+                                         params.config.audio_vocab)
+    requests = [(u.text, synthcorpus.prompt_for(u, corpus.spec), u.duration_tokens)
+                for u in corpus.test[:40]]
+    batch = generate_batch(requests, params, params.config, sampler)
+    alone = [generate(*request, params, params.config, replace(sampler, seed=sampler.seed + i))
+             for i, request in enumerate(requests)]
+    assert batch == alone
+    assert {r.stop_reason for r in batch} == {"eos", "length_cap"}

@@ -82,8 +82,8 @@ class TestTokenCount:
     def test_alternate_frame_rate(self):
         assert target_token_count(2.0, frame_rate=25) == 50
 
-    @pytest.mark.parametrize("frame_rate", [50, 25])
+    @pytest.mark.parametrize("frame_rate", [50, 25, 1, 7, 24, 75, 16000])
     def test_whole_token_durations_round_trip(self, frame_rate):
         # n / rate * rate rounds below n for some n (0.58 * 50 == 28.999...)
-        for n in range(1, 1001):
+        for n in range(1, 100001):
             assert target_token_count(n / frame_rate, frame_rate) == n

@@ -1,6 +1,6 @@
 """Static checks on the package source: every module reads what it imports,
-only the model builds progress ids, one function opens every tape, and no
-module zeroes gradients.
+only the model builds progress ids, one function opens every tape, no
+module zeroes gradients, and the CLI derives no per-row sampler seed.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -38,16 +38,19 @@ def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def calls_of(source: str, name: str) -> int:
-    """How many calls a module makes to name, bare or as an attribute."""
+def calls_of(source: str, name: str, keyword: str | None = None) -> int:
+    """How many calls a module makes to name, bare or as an attribute; with
+    keyword, only the calls that pass that keyword argument."""
     return sum(isinstance(node, ast.Call) and
                (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+               and (keyword is None or any(k.arg == keyword for k in node.keywords))
                for node in ast.walk(ast.parse(source)))
 
 
 def test_the_check_counts_bare_and_attribute_calls():
-    source = "f(1)\npositional.f(2)\ng = f\nh(f)\n"
-    assert calls_of(source, "f") == 2
+    source = "f(1)\npositional.f(2)\ng = f\nh(f)\nf(x, seed=1)\n"
+    assert calls_of(source, "f") == 3
+    assert calls_of(source, "f", keyword="seed") == 1
 
 
 def test_only_the_model_builds_progress_ids():
@@ -69,3 +72,9 @@ def test_no_module_zeroes_gradients():
     callers = sorted(p.name for p in PACKAGE.glob("*.py")
                      if calls_of(p.read_text(encoding="utf-8"), "zero_grad"))
     assert callers == []
+
+
+def test_the_cli_derives_no_sampler_seed():
+    # generate_batch seeds row i with sampler.seed + i; callers pass one sampler
+    assert calls_of((PACKAGE / "cli.py").read_text(encoding="utf-8"), "replace",
+                    keyword="seed") == 0
