@@ -46,12 +46,12 @@ from .training import (
     OptimState,
     TrainConfig,
     TrainResult,
-    WorkerError,
     adamw_step,
     clip_gradients,
     lr_at,
     make_batches,
     train,
 )
+from .workers import WorkerError
 
 __version__ = "0.1.0"

@@ -42,7 +42,8 @@ from .synthcorpus import (
     prompt_for,
     save_corpus,
 )
-from .training import DivergenceError, TrainConfig, WorkerError, train, write_loss_csv
+from .training import DivergenceError, TrainConfig, train, write_loss_csv
+from .workers import WorkerError, forked_worker
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,6 +142,12 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
         "generated_seconds": generated_seconds,
     }
     return reports, detail
+
+
+def _ablate_arm(spec: SymbolSpec, utterances, sampler: SamplerConfig, params, config) -> dict:
+    """One ablate arm's reports by metric, in the argument order a worker calls."""
+    reports, _ = evaluate_model(params, config, spec, utterances, sampler)
+    return {r.metric: asdict(r) for r in reports}
 
 
 def _write_json(path, obj) -> None:
@@ -267,12 +274,15 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs a checkpoint trained with progress rotation enabled")
     corpus = load_corpus(args.corpus)
     utterances = _test_slice(corpus, args.limit, config)
-    sampler = SamplerConfig(seed=args.seed)
-    blocks = {}
-    for label, enabled in (("pm_on", True), ("pm_off", False)):
-        reports, _ = evaluate_model(params, replace(config, pm_rope_enabled=enabled),
-                                    corpus.spec, utterances, sampler)
-        blocks[label] = {r.metric: asdict(r) for r in reports}
+    arm = (corpus.spec, utterances, SamplerConfig(seed=args.seed))
+    off = replace(config, pm_rope_enabled=False)
+    # the rotation-off arm decodes in a worker forked on its config, where one pays
+    with forked_worker(params, off) as worker:
+        if worker is not None:
+            worker.submit(_ablate_arm, *arm)
+            worker.stop()
+        blocks = {"pm_on": _ablate_arm(*arm, params, config)}
+        blocks["pm_off"] = worker.receive() if worker else _ablate_arm(*arm, params, off)
     deltas = {
         metric: blocks["pm_on"][metric]["mean"] - blocks["pm_off"][metric]["mean"]
         for metric in ("error_rate", "style_similarity", "duration_accuracy")
@@ -377,7 +387,7 @@ def main(argv=None) -> int:
             IsADirectoryError, NotADirectoryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as err:
+    except (OSError, WorkerError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,26 +6,17 @@ Each utterance trains as one decoder stream bos + prompt + separator + audio
 (all but the eos) so inference can mirror it. The loss covers the prompt
 region by default (an option masks it out) and never covers padding.
 
-train() runs OpenBLAS on one thread. Where fork works and two CPUs are
-usable, it forks one worker that runs a share of the length groups of every
-training batch and every evaluation, on parameters kept in shared memory.
-Both processes open training tapes in _share_gradients alone, and gradients
-are summed in the order one tape over the whole batch sums them, so the loss
-curve and the checkpoint bytes do not depend on whether the worker runs.
+train() runs in workers.forked_worker. With a worker, both processes open
+training tapes in _share_gradients alone, and gradients are summed in the
+order one tape over the whole batch sums them, so the loss curve and the
+checkpoint bytes do not depend on whether the worker runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import gc
 import itertools
 import math
 import mmap
-import multiprocessing
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +33,7 @@ from .model import (
 )
 from .numerics import Tape
 from .synthcorpus import Corpus, check_model_fits, prompt_for
+from .workers import WorkerError, forked_worker
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -338,9 +330,7 @@ def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
     each on a tape of its own, and the rest here on one tape. The worker's
     groups' gradients are then added to this tape's last group first, the
     order in which one tape over the whole batch sums them. If this is the
-    worker's last use, it is told to exit once its share is done: a process
-    forked from a large one takes milliseconds to tear down, and that then
-    overlaps the rest of the run.
+    worker's last use, it is told to exit once its share is done.
     """
     groups = _length_groups(batch.lengths.tolist())
     total = sum(int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups)
@@ -387,51 +377,6 @@ def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
     return total_nll / total_count
 
 
-# ---------------------------------------------------------------------------
-# The worker process
-# ---------------------------------------------------------------------------
-
-#: seconds the main process waits for the worker's share before naming it hung
-_WORKER_TIMEOUT_S = 600.0
-
-
-class WorkerError(RuntimeError):
-    """Raised when the training worker process dies or stops answering."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None when none is found. A mapped path need not be UTF-8:
-    its undecodable bytes pass through as surrogates, which CDLL encodes back."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = [line.split()[-1] for line in fh]
-        path = next((p for p in paths if "openblas" in p.lower() and ".so" in p), None)
-        lib = ctypes.CDLL(path) if path is not None else None
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
-def _worker_wanted(blas_pinned: bool) -> bool:
-    """A second process pays only with fork, two usable CPUs and one BLAS
-    thread per process (two spinning BLAS threads each would contend)."""
-    return (blas_pinned and "fork" in multiprocessing.get_all_start_methods()
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-
-
 def _share(params: ModelParams) -> None:
     """Move every parameter into one anonymous shared mapping, so that the
     main process's in-place updates reach a process forked afterwards."""
@@ -444,104 +389,6 @@ def _share(params: ModelParams) -> None:
         view = np.frombuffer(buffer, t.data.dtype, t.data.size, offset).reshape(t.data.shape)
         view[...] = t.data
         t.data = view
-
-
-def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
-    """The worker's loop: call each function the main process sends, with
-    its arguments and the parameters, and send back the result or the
-    exception it raised, until the pipe closes."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
-    while True:
-        try:
-            fn, args = conn.recv()
-        except EOFError:
-            return
-        if fn is None:  # no more calls
-            return
-        try:
-            reply = ("ok", fn(*args, params, config))
-        except Exception as err:  # raised again in the main process
-            try:
-                pickle.loads(pickle.dumps(err))
-            except Exception:
-                err = WorkerError(f"training worker raised {type(err).__name__}: {err}")
-            reply = ("error", err)
-        conn.send(reply)
-
-
-class _Worker:
-    """One forked process that runs functions on the parameters shared with it."""
-
-    def __init__(self, params: ModelParams, config: ModelConfig):
-        # fork, so the worker inherits the parameters' shared mapping and
-        # every loaded module, and nothing is pickled to start it
-        context = multiprocessing.get_context("fork")
-        self.conn, child = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child, params, config),
-                                       daemon=True)
-        gc.freeze()  # so the worker's collections leave the inherited objects' pages shared
-        try:
-            self.process.start()
-        finally:
-            gc.unfreeze()
-            child.close()  # the worker's own end is then its only one, so its death reads as EOF
-
-    def _gone(self) -> WorkerError:
-        self.process.join(1.0)
-        return WorkerError(f"training worker (pid {self.process.pid}) exited with code "
-                           f"{self.process.exitcode}")
-
-    def submit(self, fn, *args) -> None:
-        """Start fn(*args, params, config) there; fn must be a module-level
-        function, so that it pickles by name."""
-        try:
-            self.conn.send((fn, args))
-        except OSError:
-            raise self._gone() from None
-
-    def receive(self):
-        """The result of the call submitted last; raises what the call raised."""
-        if not self.conn.poll(_WORKER_TIMEOUT_S):
-            raise WorkerError(f"training worker (pid {self.process.pid}) did not answer "
-                              f"within {_WORKER_TIMEOUT_S:g} s")
-        try:
-            status, payload = self.conn.recv()
-        except (EOFError, OSError):
-            raise self._gone() from None
-        if status == "error":
-            raise payload
-        return payload
-
-    def stop(self) -> None:
-        """Tell the process to exit once the calls submitted so far are done."""
-        self.submit(None)
-
-    def close(self) -> None:
-        self.process.terminate()
-        self.process.join()
-        self.process.close()
-        self.conn.close()
-
-
-@contextlib.contextmanager
-def _training_worker(params: ModelParams, config: ModelConfig):
-    """Run the block with OpenBLAS on one thread, and with a running _Worker
-    where _worker_wanted says one pays (else None). The worker is stopped and
-    reaped, and the thread count restored, however the block ends."""
-    threads = _openblas_threads()
-    if threads is not None:
-        get, put = threads
-        before = get()
-        put(1)
-    worker = None
-    try:
-        worker = _Worker(params, config) if _worker_wanted(threads is not None) else None
-        yield worker
-    finally:
-        if worker is not None:
-            worker.close()
-        if threads is not None:
-            put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +425,7 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     _share(params)
     state = OptimState.for_params(params)
 
-    with _training_worker(params, model_config) as worker:
+    with forked_worker(params, model_config) as worker:
         init_train = evaluate_loss(train_ex[: min(len(train_ex), 200)], params, model_config,
                                    cfg.mask_prompt, worker)
         init_val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)

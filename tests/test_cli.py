@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -13,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmrope import decoding, numerics, training
+from pmrope import cli, decoding, numerics, training, workers
 from pmrope.checkpoint import load_checkpoint, save_checkpoint
 from pmrope.cli import _SECTIONS, ConfigError, build_parser, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.synthcorpus import load_corpus
 from pmrope.training import build_example
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "reference.pmrt"
 
 SMALL_RUN = {
     "model": {"n_enc_layers": 1, "n_dec_layers": 1, "d_model": 16, "n_heads": 2,
@@ -352,8 +356,8 @@ class TestTrainCommand:
 
     def test_killed_worker_exits_3_and_keeps_the_checkpoint(self, tmp_path, run_config_path,
                                                             corpus_dir, capsys, monkeypatch):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
-        monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
         backward = numerics.Tape.backward
@@ -635,6 +639,81 @@ class TestAblateCommand:
         assert code == 2
         assert "--limit" in capsys.readouterr().err
         assert not report_path.exists()
+
+    def test_report_is_identical_with_and_without_the_worker(self, tmp_path, monkeypatch):
+        main_pid = os.getpid()
+        arms = tmp_path / "arms.txt"
+        evaluate = cli.evaluate_model
+
+        def recording(params, config, *rest):  # which arm runs in which process
+            with open(arms, "a") as fh:
+                fh.write(f"{config.pm_rope_enabled} {os.getpid() == main_pid}\n")
+            return evaluate(params, config, *rest)
+
+        monkeypatch.setattr(cli, "evaluate_model", recording)
+        corpus = tmp_path / "corpus"
+        reports = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["corpus", "--out", str(corpus)]) == 0
+            for worker_on in (True, False):
+                monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: worker_on)
+                report = tmp_path / f"ablate-{worker_on}.json"
+                assert main(["ablate", "--checkpoint", str(REFERENCE), "--corpus", str(corpus),
+                             "--report", str(report), "--limit", "60"]) == 0
+                reports.append(report.read_bytes())
+                assert sorted(arms.read_text().splitlines()) == [f"False {not worker_on}",
+                                                                 "True True"]
+                arms.unlink()
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_3_and_writes_no_report(self, corpus_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
+        main_pid = os.getpid()
+        pid_file = tmp_path / "worker.pid"
+        decoder_batch = decoding.decoder_batch
+        calls = []
+
+        def dying(*args):
+            if os.getpid() != main_pid:  # in the worker's arm
+                calls.append(None)
+                if len(calls) == 3:
+                    pid_file.write_text(str(os.getpid()))
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return decoder_batch(*args)
+
+        monkeypatch.setattr(decoding, "decoder_batch", dying)
+        report = tmp_path / "ablate.json"
+        code = main(["ablate", "--checkpoint", str(REFERENCE), "--corpus", str(corpus_dir),
+                     "--report", str(report)])
+        assert code == 3
+        assert "error: worker (pid" in capsys.readouterr().err
+        assert not report.exists()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_worker_exits_2_as_it_does_alone(self, corpus_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        main_pid = os.getpid()
+        decoder_batch = decoding.decoder_batch
+
+        def failing(*args):
+            if os.getpid() != main_pid:
+                raise ValueError("token id outside [0, 69) in the worker")
+            return decoder_batch(*args)
+
+        monkeypatch.setattr(decoding, "decoder_batch", failing)
+        report = tmp_path / "ablate.json"
+        code = main(["ablate", "--checkpoint", str(REFERENCE), "--corpus", str(corpus_dir),
+                     "--report", str(report)])
+        assert code == 2
+        assert "error: token id outside [0, 69) in the worker" in capsys.readouterr().err
+        assert not report.exists()
+        assert multiprocessing.active_children() == []
 
 
 # corpus run-config overrides that leave a corpus the SMALL_RUN model cannot

@@ -2,11 +2,14 @@
 recorded in identity.json.
 
 The artefacts are the 40-step cut of the acceptance training recipe (its
-checkpoint, prompt masked and prompt scored), generate tokens on the
-reference checkpoint at the default sampler settings and at one other
-setting, the eval --limit 60 report and scatter, and the ablate --limit 60
-report. A change that alters any of them on purpose edits identity.json and
-says why; the diff of that file is then the record of what moved.
+checkpoint, prompt masked and prompt scored, trained once a session by
+conftest.recipe_run), generate tokens on the reference checkpoint at the
+default sampler settings, at top_p 1.0 and temperature 3.0 (so the default
+top_k alone bounds a support with mass past its 29th token) and at one
+other setting, the eval --limit 60 report and scatter, and the ablate
+--limit 60 report. A change that alters any of them on purpose edits
+identity.json and says why; the diff of that file is then the record of
+what moved.
 
 The bits hold for one numpy build, BLAS and CPU only, so identity.json also
 records that machine. On another machine each artefact is computed twice,
@@ -28,8 +31,6 @@ import pytest
 
 from pmrope import checkpoint, cli, decoding, synthcorpus
 from pmrope.decoding import SamplerConfig
-from pmrope.model import ModelConfig
-from pmrope.training import TrainConfig, train
 
 RECORD_PATH = Path(__file__).with_name("identity.json")
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "reference.pmrt"
@@ -49,18 +50,6 @@ def machine() -> dict:
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _train_40_steps(tmp: Path, mask_prompt: bool) -> str:
-    # the acceptance suite's reference recipe, cut to 40 steps
-    corpus = synthcorpus.generate_corpus(synthcorpus.CorpusConfig(seed=0),
-                                         ModelConfig().audio_vocab)
-    cfg = TrainConfig(peak_lr=1.5e-3, weight_decay=0.02, total_steps=40,
-                      validation_interval=10, token_budget=2048, seed=0,
-                      mask_prompt=mask_prompt)
-    path = tmp / "model.pmrt"
-    train(corpus, cfg, ModelConfig(), checkpoint_path=path)
-    return sha256(path.read_bytes())
 
 
 def _generate(sampler: SamplerConfig) -> str:
@@ -89,10 +78,15 @@ def _cli(tmp: Path, command: str) -> dict:
     return {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
 
 
+#: the checkpoints of conftest.train_recipe, by its mask_prompt
+RECIPES = {"train_40_steps_prompt_masked": True, "train_40_steps_prompt_scored": False}
+
 ARTEFACTS = {
-    "train_40_steps_prompt_masked": lambda tmp: _train_40_steps(tmp, True),
-    "train_40_steps_prompt_scored": lambda tmp: _train_40_steps(tmp, False),
     "generate_default_sampler": lambda tmp: _generate(SamplerConfig(seed=1000)),
+    # the default top_k bounds the support; at temperature 0.8 the reference
+    # model puts too little mass past its 29th token for a draw to land there
+    "generate_default_top_k_top_p_1.0_temperature_3.0": lambda tmp: _generate(
+        SamplerConfig(top_p=1.0, temperature=3.0, seed=3000)),
     "generate_top_k_5_top_p_0.7_temperature_1.3": lambda tmp: _generate(
         SamplerConfig(top_k=5, top_p=0.7, temperature=1.3, seed=2000)),
     "eval_limit_60": lambda tmp: _cli(tmp, "eval"),
@@ -116,11 +110,15 @@ def compare(record: dict, name: str, compute, tmp: Path) -> None:
     assert value == record["sha256"][name]
 
 
-@pytest.mark.parametrize("name", sorted(ARTEFACTS))
-def test_output_is_the_recorded_one(name, tmp_path):
+@pytest.mark.parametrize("name", sorted([*RECIPES, *ARTEFACTS]))
+def test_output_is_the_recorded_one(name, tmp_path, request):
     record = json.loads(RECORD_PATH.read_text(encoding="utf-8"))
-    assert sorted(record["sha256"]) == sorted(ARTEFACTS)
-    compare(record, name, ARTEFACTS[name], tmp_path)
+    assert sorted(record["sha256"]) == sorted([*RECIPES, *ARTEFACTS])
+    if name in RECIPES:  # trained once a session; test_training checks worker on = off
+        _, checkpoint_sha256 = request.getfixturevalue("recipe_run")(RECIPES[name], True)
+        compare(record, name, lambda tmp: checkpoint_sha256, tmp_path)
+    else:
+        compare(record, name, ARTEFACTS[name], tmp_path)
 
 
 def test_another_machine_xfails_naming_the_field_and_still_checks_determinism(tmp_path):
@@ -137,8 +135,13 @@ def test_another_machine_xfails_naming_the_field_and_still_checks_determinism(tm
 
 
 if __name__ == "__main__":
+    from conftest import train_recipe
+
     with tempfile.TemporaryDirectory() as tmp:
         values = {}
+        for name, mask_prompt in RECIPES.items():
+            train_recipe(Path(tmp) / "model.pmrt", mask_prompt)
+            values[name] = sha256((Path(tmp) / "model.pmrt").read_bytes())
         for name, compute in ARTEFACTS.items():
             (Path(tmp) / name).mkdir()
             values[name] = compute(Path(tmp) / name)

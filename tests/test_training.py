@@ -1,4 +1,3 @@
-import hashlib
 import math
 import mmap
 import multiprocessing
@@ -13,7 +12,7 @@ from oracles import _example_loss, whole_batch_loss
 from pmrope import numerics as nm
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.numerics import Tape, Tensor
-from pmrope import training
+from pmrope import training, workers
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.training import (
     ADAM_EPS,
@@ -355,7 +354,7 @@ class TestSplitSteps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_split_gradients_equal_batch_loss_bitwise(self, monkeypatch, dtype, mask_prompt,
                                                       split):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
         if split == "all_but_one":  # several worker groups, whose order in the sum matters
             monkeypatch.setattr(training, "_split",
                                 lambda costs, worker: len(costs) - 1 if worker else 0)
@@ -366,7 +365,7 @@ class TestSplitSteps:
         assert len(batches) >= 2
         params = init_params(SPLIT_MODEL, seed=0, dtype=dtype)
         training._share(params)
-        with training._training_worker(params, SPLIT_MODEL) as worker:
+        with workers.forked_worker(params, SPLIT_MODEL) as worker:
             assert worker is not None
             for batch in batches:
                 groups = training._length_groups(batch.lengths.tolist())
@@ -393,14 +392,14 @@ class TestSplitSteps:
     def test_each_step_starts_from_no_gradient(self, monkeypatch, worker_on):
         # no zeroing between steps: a step leaves exactly the gradients of a
         # fresh step on its batch, whatever the step before it left
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: worker_on)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: worker_on)
         examples = corpus_examples(small_corpus(n_train=40), SPLIT_MODEL)
         first, second = [b for b in make_batches(examples, 512, seed=0,
                                                  pad_id=SpecialTokens.for_vocab(64).pad)
                          if len(training._length_groups(b.lengths.tolist())) >= 2][:2]
         params = init_params(SPLIT_MODEL, seed=0)
         training._share(params)
-        with training._training_worker(params, SPLIT_MODEL) as worker:
+        with workers.forked_worker(params, SPLIT_MODEL) as worker:
             assert (worker is not None) == worker_on
             fresh = training._step_gradients(second, params, SPLIT_MODEL, False, worker)
             want = {n: t.grad.tobytes() for n, t in params.items()}
@@ -412,7 +411,7 @@ class TestSplitSteps:
 
     @pytest.mark.parametrize("where", ["main", "worker"])
     def test_non_finite_loss_at_the_second_step(self, monkeypatch, where):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
         monkeypatch.setattr(training, "_split",
                             lambda costs, worker: len(costs) - 1 if worker else 0)
         corpus = small_corpus(n_train=40)
@@ -445,7 +444,7 @@ class TestSplitSteps:
         assert training._split([5.0, 3.0, 1.0, 1.0], worker=None) == 0
 
     def test_split_evaluation_equals_the_serial_one(self, monkeypatch):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
         examples = corpus_examples(small_corpus(n_train=400), SPLIT_MODEL)
         batches = make_batches(examples, training.EVAL_TOKEN_BUDGET, seed=0,
                                pad_id=SpecialTokens.for_vocab(64).pad)
@@ -459,37 +458,26 @@ class TestSplitSteps:
             nll += loss.item() * n
             count += n
         assert serial == nll / count
-        with training._training_worker(params, SPLIT_MODEL) as worker:
+        with workers.forked_worker(params, SPLIT_MODEL) as worker:
             assert training.evaluate_loss(examples, params, SPLIT_MODEL, True, worker) == serial
 
     @pytest.mark.parametrize("mask_prompt", [True, False], ids=["prompt_masked", "prompt_scored"])
-    def test_recipe_is_identical_with_and_without_the_worker(self, tmp_path, monkeypatch,
-                                                             mask_prompt):
-        # the acceptance suite's reference recipe, cut to 40 steps
-        corpus = generate_corpus(CorpusConfig(seed=0), ModelConfig().audio_vocab)
-        cfg = TrainConfig(peak_lr=1.5e-3, weight_decay=0.02, total_steps=40,
-                          validation_interval=40, token_budget=2048, seed=0,
-                          mask_prompt=mask_prompt)
-        runs = []
-        for worker in (True, False):
-            monkeypatch.setattr(training, "_worker_wanted", lambda pinned: worker)
-            path = tmp_path / f"worker-{worker}.pmrt"
-            result = train(corpus, cfg, ModelConfig(), checkpoint_path=path)
-            runs.append((result.curve, hashlib.sha256(path.read_bytes()).hexdigest()))
-        assert runs[0] == runs[1]
+    def test_recipe_is_identical_with_and_without_the_worker(self, recipe_run, mask_prompt):
+        # the curve and the checkpoint of conftest.train_recipe
+        assert recipe_run(mask_prompt, True) == recipe_run(mask_prompt, False)
         assert multiprocessing.active_children() == []
 
 
 class TestWorker:
     def test_worker_needs_two_cpus_and_one_blas_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert training._worker_wanted(True)
-        assert not training._worker_wanted(False)
+        assert workers._worker_wanted(True)
+        assert not workers._worker_wanted(False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not training._worker_wanted(True)
+        assert not workers._worker_wanted(True)
 
     def test_blas_runs_on_one_thread_and_is_restored(self, monkeypatch):
-        threads = training._openblas_threads()
+        threads = workers._openblas_threads()
         if threads is None:
             pytest.skip("numpy does not run on OpenBLAS here")
         get, _ = threads
@@ -510,7 +498,7 @@ class TestWorker:
     def test_mapped_file_under_a_non_utf8_path(self, tmp_path):
         # a file system path is bytes: numpy, or a venv, may sit under one
         # that is not UTF-8, and the OpenBLAS lookup reads every mapped path
-        found = training._openblas_threads() is not None
+        found = workers._openblas_threads() is not None
         directory = os.path.join(os.fsencode(tmp_path), b"\xff-dir")
         os.mkdir(directory)
         path = os.path.join(directory, b"mapped")
@@ -519,13 +507,13 @@ class TestWorker:
         with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ):
             with open("/proc/self/maps", "rb") as maps:
                 assert b"/\xff-dir/mapped" in maps.read()
-            assert (training._openblas_threads() is not None) == found
+            assert (workers._openblas_threads() is not None) == found
             result = train(small_corpus(), TrainConfig(total_steps=1, validation_interval=1),
                            SPLIT_MODEL)
         assert [step for step, _, _ in result.curve] == [0, 1]
 
     def test_worker_exception_is_raised_again_in_the_main_process(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
         fused = training._fused_loss
@@ -542,8 +530,8 @@ class TestWorker:
         assert_gone(int(pid_file.read_text()))
 
     def test_hung_worker_is_named_and_stopped(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
-        monkeypatch.setattr(training, "_WORKER_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_WORKER_TIMEOUT_S", 0.5)
         main_pid = os.getpid()
         pid_file = tmp_path / "worker.pid"
         fused = training._fused_loss
@@ -556,7 +544,7 @@ class TestWorker:
 
         monkeypatch.setattr(training, "_fused_loss", hanging)
         started = time.monotonic()
-        with pytest.raises(training.WorkerError, match="did not answer within 0.5 s") as err:
+        with pytest.raises(workers.WorkerError, match="did not answer within 0.5 s") as err:
             train(small_corpus(), TrainConfig(total_steps=2, validation_interval=2), SPLIT_MODEL)
         assert time.monotonic() - started < 30
         assert err.value.result is not None and err.value.result.curve[0][0] == 0
@@ -565,7 +553,7 @@ class TestWorker:
     def test_worker_ignores_ctrl_c(self, monkeypatch):
         # a terminal's Ctrl-C reaches the whole process group; only the main
         # process may act on it
-        monkeypatch.setattr(training, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
         main_pid = os.getpid()
         fused = training._fused_loss
 
