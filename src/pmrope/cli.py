@@ -185,9 +185,11 @@ def cmd_train(args) -> int:
         result = train(corpus, cfg.train, cfg.model, checkpoint_path=args.out,
                        verbose=not args.quiet)
     except (DivergenceError, WorkerError) as err:
-        if err.result is not None:
+        retained = ""
+        if err.result is not None:  # else it broke off before the first checkpoint
             write_loss_csv(loss_csv, err.result.curve)
-        print(f"error: {err} (best checkpoint retained at {args.out})", file=sys.stderr)
+            retained = f" (best checkpoint retained at {args.out})"
+        print(f"error: {err}{retained}", file=sys.stderr)
         return EXIT_RUNTIME
     write_loss_csv(loss_csv, result.curve)
     print(f"best validation loss {result.best_val_loss:.4f} at step {result.best_step}; "
@@ -280,7 +282,6 @@ def cmd_ablate(args) -> int:
     with forked_worker(params, off) as worker:
         if worker is not None:
             worker.submit(_ablate_arm, *arm)
-            worker.stop()
         blocks = {"pm_on": _ablate_arm(*arm, params, config)}
         blocks["pm_off"] = worker.receive() if worker else _ablate_arm(*arm, params, off)
     deltas = {

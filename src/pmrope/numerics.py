@@ -139,10 +139,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         ga = g @ b.data.T
-        if a.data.ndim == 2:
-            gb = a.data.T @ g
-        else:
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
     return record_op(out, (a, b), vjp)

@@ -6,17 +6,17 @@ Each utterance trains as one decoder stream bos + prompt + separator + audio
 (all but the eos) so inference can mirror it. The loss covers the prompt
 region by default (an option masks it out) and never covers padding.
 
-train() runs in workers.forked_worker. With a worker, both processes open
-training tapes in _share_gradients alone, and gradients are summed in the
-order one tape over the whole batch sums them, so the loss curve and the
-checkpoint bytes do not depend on whether the worker runs.
+train() runs in workers.forked_worker, which shares the parameters with its
+worker, where one runs. Both processes then open training tapes in
+_share_gradients alone, and gradients are summed in the order one tape over
+the whole batch sums them, so the loss curve and the checkpoint bytes do not
+depend on whether the worker runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +46,7 @@ EVAL_TOKEN_BUDGET = 8192
 class DivergenceError(RuntimeError):
     """Raised when training hits a non-finite loss or gradient."""
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    result = None  # train() sets the partial TrainResult
 
 
 @dataclass
@@ -322,23 +320,20 @@ def _group_losses(items, mask_prompt: bool, params: ModelParams,
 
 
 def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
-                    mask_prompt: bool, worker=None, last: bool = False) -> float:
+                    mask_prompt: bool, worker=None) -> float:
     """The mean NLL of a training batch. When it is finite, every parameter
     is left holding the gradient one tape over all the batch's groups gives it.
 
     With a worker, the batch's longest length groups run there meanwhile,
     each on a tape of its own, and the rest here on one tape. The worker's
     groups' gradients are then added to this tape's last group first, the
-    order in which one tape over the whole batch sums them. If this is the
-    worker's last use, it is told to exit once its share is done.
+    order in which one tape over the whole batch sums them.
     """
     groups = _length_groups(batch.lengths.tolist())
     total = sum(int(_loss_mask(batch, rows, mask_prompt).sum()) for rows in groups)
     k = _split([_pass_cost(batch, rows) for rows in groups], worker)
     if k:
         worker.submit(_each_group_gradients, batch, mask_prompt, groups[:k], total)
-    if last and worker is not None:
-        worker.stop()
     parts, _ = _share_gradients(batch, mask_prompt, groups[k:], total, params, config)
     theirs = worker.receive() if k else []
     loss = _weighted_sum([p for group, _ in theirs for p in group] + parts, total).item()
@@ -377,20 +372,6 @@ def evaluate_loss(examples, params: ModelParams, config: ModelConfig,
     return total_nll / total_count
 
 
-def _share(params: ModelParams) -> None:
-    """Move every parameter into one anonymous shared mapping, so that the
-    main process's in-place updates reach a process forked afterwards."""
-    offsets, end = [], 0
-    for _, t in params.items():
-        offsets.append(end)
-        end += -(-t.data.nbytes // 64) * 64  # each tensor 64-byte aligned
-    buffer = mmap.mmap(-1, end)
-    for offset, (_, t) in zip(offsets, params.items()):
-        view = np.frombuffer(buffer, t.data.dtype, t.data.size, offset).reshape(t.data.shape)
-        view[...] = t.data
-        t.data = view
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -422,7 +403,6 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     val_ex = [build_example(u, corpus.spec, specials) for u in corpus.val]
 
     params = init_params(model_config, cfg.seed)
-    _share(params)
     state = OptimState.for_params(params)
 
     with forked_worker(params, model_config) as worker:
@@ -444,10 +424,10 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
             for epoch in itertools.count())
         try:
             for step, batch in zip(range(1, cfg.total_steps + 1), batches):
-                last = step == cfg.total_steps
                 loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
-                                             worker, last)
-                if last:  # the worker exits meanwhile; the final validation runs here
+                                             worker)
+                if step == cfg.total_steps and worker is not None:
+                    worker.stop()  # the final validation runs here meanwhile
                     worker = None
                 if not math.isfinite(loss_value):
                     raise DivergenceError(f"non-finite training loss at step {step - 1}")
@@ -457,7 +437,7 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
                 except DivergenceError as err:
                     raise DivergenceError(f"{err} (step {step - 1})") from None
                 window.append(loss_value)
-                if step % cfg.validation_interval == 0 or last:
+                if step % cfg.validation_interval == 0 or step == cfg.total_steps:
                     val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
                     train_avg = sum(window) / len(window)
                     window = []

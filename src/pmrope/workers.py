@@ -1,9 +1,10 @@
 """One forked worker process, for training and for ablate.
 
-forked_worker pins OpenBLAS to one thread and, where fork works and two CPUs
-are usable, forks one worker that runs the functions the main process sends
-it on the parameters and config it was forked with: train() sends a share of
-every batch's length groups and every evaluation, ablate its rotation-off arm.
+forked_worker shares the parameters (with or without a worker), pins OpenBLAS
+to one thread and, where fork works and two CPUs are usable, forks one worker
+that runs the functions the main process sends it on the parameters and
+config it was forked with: train() sends a share of every batch's length
+groups and of every evaluation but the last, ablate its rotation-off arm.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import gc
+import mmap
 import multiprocessing
 import os
 import pickle
 import signal
+
+import numpy as np
 
 from .model import ModelConfig, ModelParams
 
@@ -25,9 +29,7 @@ _WORKER_TIMEOUT_S = 600.0
 class WorkerError(RuntimeError):
     """Raised when the worker process dies or stops answering."""
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    result = None  # train() sets its partial TrainResult
 
 
 def _openblas_threads():
@@ -72,8 +74,6 @@ def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
         try:
             fn, args = conn.recv()
         except EOFError:
-            return
-        if fn is None:  # no more calls
             return
         try:
             reply = ("ok", fn(*args, params, config))
@@ -127,9 +127,9 @@ class _Worker:
         return payload
 
     def stop(self) -> None:
-        """Tell the process to exit once the calls submitted so far are done,
-        so that its teardown (milliseconds) overlaps the main process's work."""
-        self.submit(None)
+        """End the process, which must owe no result, so that its death (a
+        few ms) overlaps the main process's remaining work; close() reaps it."""
+        self.process.terminate()
 
     def close(self) -> None:
         self.process.terminate()
@@ -138,11 +138,27 @@ class _Worker:
         self.conn.close()
 
 
+def _share(params: ModelParams) -> None:
+    """Move every parameter into one anonymous shared mapping, so that the
+    main process's in-place updates reach a process forked afterwards."""
+    offsets, end = [], 0
+    for _, t in params.items():
+        offsets.append(end)
+        end += -(-t.data.nbytes // 64) * 64  # each tensor 64-byte aligned
+    buffer = mmap.mmap(-1, end)
+    for offset, (_, t) in zip(offsets, params.items()):
+        view = np.frombuffer(buffer, t.data.dtype, t.data.size, offset).reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+
+
 @contextlib.contextmanager
 def forked_worker(params: ModelParams, config: ModelConfig):
-    """Run the block with OpenBLAS on one thread and a _Worker on params and
-    config where _worker_wanted says one pays (else None). The worker is
-    reaped, and the thread count restored, however the block ends."""
+    """Run the block with params moved into shared memory, OpenBLAS on one
+    thread and a _Worker on params and config where _worker_wanted says one
+    pays (else None). The worker is reaped, and the thread count restored,
+    however the block ends."""
+    _share(params)
     threads = _openblas_threads()
     if threads is not None:
         get, put = threads

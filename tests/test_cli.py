@@ -385,6 +385,33 @@ class TestTrainCommand:
             os.kill(int(pid_file.read_text()), 0)
         assert multiprocessing.active_children() == []
 
+    def test_worker_dead_before_the_first_checkpoint_claims_none(
+            self, tmp_path, run_config_path, corpus_dir, capsys, monkeypatch):
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        monkeypatch.setattr(workers, "_WORKER_TIMEOUT_S", 60.0)  # the death must read as EOF
+        main_pid = os.getpid()
+        pid_file = tmp_path / "worker.pid"
+        fused = training._fused_loss
+
+        def dying(*args):  # the worker's first pass is in the initial evaluation
+            if os.getpid() != main_pid:
+                pid_file.write_text(str(os.getpid()))
+                os._exit(9)
+            return fused(*args)
+
+        monkeypatch.setattr(training, "_fused_loss", dying)
+        out = tmp_path / "m.pmrt"
+        code = main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "exited with code 9" in err and "retained" not in err
+        assert not out.exists()
+        assert not Path(str(out) + ".losses.csv").exists()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+        assert multiprocessing.active_children() == []
+
     def test_non_finite_loss_exits_3_and_writes_the_curve_so_far(
             self, tmp_path, run_config_path, corpus_dir, capsys, monkeypatch):
         main_pid = os.getpid()

@@ -1,6 +1,7 @@
 """Static checks on the package source: every module reads what it imports,
 only the model builds progress ids, one function opens every tape, no
-module zeroes gradients, and the CLI derives no per-row sampler seed.
+module zeroes gradients, only the worker module touches processes and shared
+memory, and the CLI derives no per-row sampler seed.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -72,6 +73,30 @@ def test_no_module_zeroes_gradients():
     callers = sorted(p.name for p in PACKAGE.glob("*.py")
                      if calls_of(p.read_text(encoding="utf-8"), "zero_grad"))
     assert callers == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_check_finds_imported_modules():
+    source = "import os.path\nfrom mmap import mmap\nfrom .model import x\nimport numpy as np\n"
+    assert imported_modules(source) == {"os", "mmap", "numpy"}
+
+
+def test_only_the_worker_module_knows_about_processes():
+    # workers.forked_worker shares the parameters, pins BLAS and forks
+    knowing = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if imported_modules(p.read_text(encoding="utf-8"))
+                     & {"multiprocessing", "mmap", "ctypes"})
+    assert knowing == ["workers.py"]
 
 
 def test_the_cli_derives_no_sampler_seed():

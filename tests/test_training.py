@@ -364,7 +364,6 @@ class TestSplitSteps:
                    if len(training._length_groups(b.lengths.tolist())) >= 3]
         assert len(batches) >= 2
         params = init_params(SPLIT_MODEL, seed=0, dtype=dtype)
-        training._share(params)
         with workers.forked_worker(params, SPLIT_MODEL) as worker:
             assert worker is not None
             for batch in batches:
@@ -378,14 +377,12 @@ class TestSplitSteps:
                     want, _ = whole_batch_loss(batch, params, SPLIT_MODEL, mask_prompt)
                 tape.backward(want)
                 want_grads = {n: t.grad.tobytes() for n, t in params.items()}
-                for split_with, last in ((None, False), (worker, False), (worker, True)):
+                for split_with in (None, worker):
                     value = training._step_gradients(batch, params, SPLIT_MODEL, mask_prompt,
-                                                     split_with, last and batch is batches[-1])
+                                                     split_with)
                     assert np.asarray(value, dtype).tobytes() == want.data.tobytes()
                     for name, t in params.items():
                         assert t.grad.tobytes() == want_grads[name], name
-            worker.process.join(10)
-            assert worker.process.exitcode == 0  # told to exit once its last share was done
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("worker_on", [False, True], ids=["alone", "with_worker"])
@@ -398,7 +395,6 @@ class TestSplitSteps:
                                                  pad_id=SpecialTokens.for_vocab(64).pad)
                          if len(training._length_groups(b.lengths.tolist())) >= 2][:2]
         params = init_params(SPLIT_MODEL, seed=0)
-        training._share(params)
         with workers.forked_worker(params, SPLIT_MODEL) as worker:
             assert (worker is not None) == worker_on
             fresh = training._step_gradients(second, params, SPLIT_MODEL, False, worker)
@@ -450,7 +446,6 @@ class TestSplitSteps:
                                pad_id=SpecialTokens.for_vocab(64).pad)
         assert len(batches) >= 2
         params = init_params(SPLIT_MODEL, seed=0)
-        training._share(params)
         serial = training.evaluate_loss(examples, params, SPLIT_MODEL, True)
         nll = count = 0
         for batch in batches:  # the per-batch sum evaluate_loss made before the split
@@ -549,6 +544,26 @@ class TestWorker:
         assert time.monotonic() - started < 30
         assert err.value.result is not None and err.value.result.curve[0][0] == 0
         assert_gone(int(pid_file.read_text()))
+
+    def test_worker_is_stopped_before_the_final_validation(self, monkeypatch, tmp_path):
+        # so that its death overlaps the final validation instead of following it
+        monkeypatch.setattr(workers, "_worker_wanted", lambda pinned: True)
+        main_pid = os.getpid()
+        passes = tmp_path / "passes.txt"
+        fused = training._fused_loss
+
+        def recording(*args):  # each of the worker's passes: "tape" in a step, else "eval"
+            if in_worker(main_pid):
+                with open(passes, "a") as fh:
+                    fh.write("tape\n" if nm._active.stack else "eval\n")
+            return fused(*args)
+
+        monkeypatch.setattr(training, "_fused_loss", recording)
+        train(small_corpus(), TrainConfig(total_steps=2, validation_interval=1), SPLIT_MODEL)
+        kinds = passes.read_text().split()
+        assert kinds[0] == "eval" and "eval" in kinds[kinds.index("tape"):]  # step 1's validation
+        assert kinds[-1] == "tape"
+        assert multiprocessing.active_children() == []
 
     def test_worker_ignores_ctrl_c(self, monkeypatch):
         # a terminal's Ctrl-C reaches the whole process group; only the main
