@@ -75,12 +75,14 @@ def _is_int(value) -> bool:
 
 #: each config field annotation -> (check of a JSON value, what the check
 #: wants); bool is an int subclass, so it is excluded by hand. A tuple field
-#: arrives as a JSON list of ints, and a float field may arrive as a JSON int.
+#: arrives as a JSON list of ints, whose items' types are collected in one
+#: pass (JSON decodes no other int subclass than bool), and a float field
+#: may arrive as a JSON int.
 _FIELD_CHECKS = {
     "int": (_is_int, "an int"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a float"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
-    "tuple": (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of ints"),
+    "tuple": (lambda v: isinstance(v, list) and set(map(type, v)) <= {int}, "a list of ints"),
 }
 
 
@@ -123,6 +125,7 @@ class SpecialTokens:
     separator: int
 
     @classmethod
+    @functools.cache  # one instance per vocab: load_corpus asks once a record
     def for_vocab(cls, audio_vocab: int) -> "SpecialTokens":
         return cls(
             bos=audio_vocab,

@@ -5,13 +5,20 @@ disjoint per-style sub-alphabet, and every text is emitted at several stretch
 factors (token repetition, a tempo analog). Text and style are identical
 across the stretch variants of a text, so target length is knowable only
 through the decoder's progress schedule.
+
+render_audio is the only renderer: for each (style, stretch) pair it builds
+once a table of every symbol's tokens and keeps it on the SymbolSpec, whose
+motifs are read-only so that no table goes stale. load_corpus checks each
+record's id lists whole, with min, max and a set, not one id at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +56,23 @@ class CorpusConfig:
             raise ValueError("silence_prob must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolSpec:
-    """Per-symbol base motifs and the disjoint per-style alphabet blocks."""
+    """Per-symbol base motifs, read-only, and the disjoint per-style alphabet blocks."""
 
     motifs: np.ndarray   # [n_symbols, motif_len], values in [0, per_style)
     per_style: int
     n_styles: int
+    #: render_audio's (style_id, stretch) -> {symbol: tokens}
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        motifs = np.array(self.motifs, dtype=np.int64)
+        motifs.flags.writeable = False
+        object.__setattr__(self, "motifs", motifs)
+
+    def __reduce__(self):  # through __post_init__, as unpickling would leave motifs writable
+        return SymbolSpec, (self.motifs, self.per_style, self.n_styles)
 
     @property
     def n_symbols(self) -> int:
@@ -111,32 +128,34 @@ def build_symbol_spec(config: CorpusConfig, audio_vocab: int) -> SymbolSpec:
             continue
         seen.add(motif)
         motifs.append(motif)
-    return SymbolSpec(motifs=np.array(motifs, dtype=np.int64), per_style=per_style,
-                      n_styles=config.n_styles)
+    return SymbolSpec(motifs=motifs, per_style=per_style, n_styles=config.n_styles)
 
 
 def render_audio(text, style_id: int, stretch: int, spec: SymbolSpec) -> list:
-    """Concatenate style-shifted motifs, repeating each token `stretch` times."""
+    """Concatenate style-shifted motifs, repeating each token `stretch` times,
+    by joining the text's entries in the (style_id, stretch) table on spec."""
     if stretch < 1:
         raise ValueError(f"stretch must be >= 1, got {stretch}")
     if not 0 <= style_id < spec.n_styles:
         raise ValueError(f"style {style_id} outside [0, {spec.n_styles})")
-    offset = style_id * spec.per_style
-    out = []
-    for symbol in text:
-        if not 0 <= symbol < spec.n_symbols:
-            raise ValueError(f"symbol {symbol} outside [0, {spec.n_symbols})")
-        for token in spec.motifs[symbol]:
-            out.extend([int(token) + offset] * stretch)
-    return out
+    key = (operator.index(style_id), operator.index(stretch))  # int keys only: 1.0 == 1
+    table = spec.tables.get(key)
+    if table is None:
+        offset = key[0] * spec.per_style
+        table = spec.tables[key] = {
+            symbol: [token + offset for token in motif for _ in range(key[1])]
+            for symbol, motif in enumerate(spec.motifs.tolist())}
+    try:
+        return list(chain.from_iterable(map(table.__getitem__, text)))
+    except KeyError as err:  # the first symbol without a motif
+        raise ValueError(f"symbol {err.args[0]} outside [0, {spec.n_symbols})") from None
 
 
 def prompt_for(utterance: Utterance, spec: SymbolSpec) -> list:
     """Stretch-1 rendering of PROMPT_SYMBOLS symbols in the utterance's style —
     the voice-cloning prompt analog. Symbols absent from the text come first,
     in symbol order."""
-    used = set(utterance.text)
-    symbols = sorted(range(spec.n_symbols), key=lambda s: s in used)[:PROMPT_SYMBOLS]
+    symbols = sorted(range(spec.n_symbols), key=set(utterance.text).__contains__)[:PROMPT_SYMBOLS]
     return render_audio(symbols, utterance.style_id, 1, spec)
 
 
@@ -158,7 +177,7 @@ def generate_corpus(config: CorpusConfig, audio_vocab: int = 64) -> Corpus:
     tries = 0
     while len(texts) < sum(texts_needed):
         length = int(rng.integers(config.text_len_min, config.text_len_max + 1))
-        text = tuple(int(v) for v in rng.integers(0, config.n_symbols, size=length))
+        text = tuple(rng.integers(0, config.n_symbols, size=length).tolist())
         tries += 1
         if text in seen:
             if tries > 1000 * sum(texts_needed):
@@ -176,7 +195,7 @@ def generate_corpus(config: CorpusConfig, audio_vocab: int = 64) -> Corpus:
             for stretch in config.stretch_factors:
                 audio = render_audio(text, style, int(stretch), spec)
                 if config.silence_prob > 0.0:
-                    replace = rng.random(len(audio)) < config.silence_prob
+                    replace = (rng.random(len(audio)) < config.silence_prob).tolist()
                     audio = [silence_id if hit else tok for tok, hit in zip(audio, replace)]
                 utterances.append(Utterance(
                     text=list(text), style_id=style, stretch=int(stretch),
@@ -210,9 +229,11 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
         fh.write("\n")
 
 
-#: each JSONL record key -> the config-field kind its value must be
-_RECORD_FIELDS = {"text": "tuple", "style_id": "int", "stretch": "int", "audio": "tuple",
-                  "duration_tokens": "int"}
+#: each JSONL record key -> (check of its value, what the check wants), by
+#: the config-field kind the value must be
+_RECORD_CHECKS = {key: _FIELD_CHECKS[kind] for key, kind in (
+    ("text", "tuple"), ("style_id", "int"), ("stretch", "int"), ("audio", "tuple"),
+    ("duration_tokens", "int"))}
 
 
 def _load_json(raw: bytes, where: str):
@@ -263,28 +284,32 @@ def load_manifest(corpus_dir):
 def _utterance_from_record(rec, where: str, spec: SymbolSpec, audio_vocab: int) -> Utterance:
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: record must be a JSON object")
-    for key, kind in _RECORD_FIELDS.items():
+    for key, (check, wanted) in _RECORD_CHECKS.items():
         if key not in rec:
             raise ValueError(f"{where}: missing key {key!r}")
-        check, wanted = _FIELD_CHECKS[kind]
         if not check(rec[key]):
             raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
     silence = SpecialTokens.for_vocab(audio_vocab).silence
+    text, audio, duration = rec["text"], rec["audio"], rec["duration_tokens"]
+    audio_ids = set(audio) - {silence}
+    # each list is checked whole, by min and max; what a check wants is
+    # formatted only once it fails
     ranges = (
-        ("text", rec["text"] and all(0 <= t < spec.n_symbols for t in rec["text"]),
-         f"nonempty, with ids in [0, {spec.n_symbols})"),
-        ("audio", all(0 <= t < audio_vocab or t == silence for t in rec["audio"]),
-         f"ids in [0, {audio_vocab}) or the silence id {silence}"),
-        ("style_id", 0 <= rec["style_id"] < spec.n_styles, f"in [0, {spec.n_styles})"),
+        ("text", text and 0 <= min(text) and max(text) < spec.n_symbols,
+         "nonempty, with ids in [0, {n_symbols})"),
+        ("audio", not audio_ids or 0 <= min(audio_ids) and max(audio_ids) < audio_vocab,
+         "ids in [0, {audio_vocab}) or the silence id {silence}"),
+        ("style_id", 0 <= rec["style_id"] < spec.n_styles, "in [0, {n_styles})"),
         ("stretch", rec["stretch"] >= 1, ">= 1"),
-        ("duration_tokens", rec["duration_tokens"] >= 1, ">= 1"),
-        ("duration_tokens", rec["duration_tokens"] == len(rec["audio"]),
-         f"the audio's length {len(rec['audio'])}"),
+        ("duration_tokens", duration >= 1, ">= 1"),
+        ("duration_tokens", duration == len(audio), "the audio's length {length}"),
     )
     for key, ok, wanted in ranges:
         if not ok:
+            wanted = wanted.format(n_symbols=spec.n_symbols, audio_vocab=audio_vocab,
+                                   silence=silence, n_styles=spec.n_styles, length=len(audio))
             raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
-    return Utterance(**{key: rec[key] for key in _RECORD_FIELDS})
+    return Utterance(text, rec["style_id"], rec["stretch"], audio, duration)
 
 
 def load_corpus(corpus_dir) -> Corpus:

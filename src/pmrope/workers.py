@@ -61,10 +61,13 @@ def _worker_wanted(blas_pinned: bool) -> bool:
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _serve(conn, params: ModelParams, config: ModelConfig) -> None:
+def _serve(conn, main_end, params: ModelParams, config: ModelConfig) -> None:
     """The worker's loop: call each function the main process sends, with
     its arguments and the parameters, and send back the result or the
     exception it raised, until the pipe closes."""
+    # the copy of the main process's end that fork gave this process: open,
+    # it would keep the pipe from closing when the main process dies
+    main_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the main process's to handle
     # so this process's collections leave the inherited objects' pages shared; not done
     # in the main process, whose unfreeze would move its young garbage into the oldest
@@ -93,7 +96,7 @@ class _Worker:
         # fork: the worker inherits the parameters and modules; nothing pickles to start it
         context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe()
-        self.process = context.Process(target=_serve, args=(child, params, config),
+        self.process = context.Process(target=_serve, args=(child, self.conn, params, config),
                                        daemon=True)
         try:
             self.process.start()

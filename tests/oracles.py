@@ -4,7 +4,9 @@ Everything here is deliberately written a different way than the library:
 finite differences instead of the tape, recursion instead of iterative DP,
 complex multiplication or the pairwise formulas instead of a rotation table,
 spelled-out arithmetic instead of shared helpers, a full decoder rescan per
-token instead of a cache, one row and rng.choice instead of a batched sampler.
+token instead of a cache, one row and rng.choice instead of a batched sampler,
+one motif token or one record id at a time instead of tables and whole-list
+checks.
 whole_batch_loss alone folds with the library's own helpers: it is the
 one-tape reference that split training steps must match bit for bit.
 """
@@ -17,6 +19,7 @@ import numpy as np
 from pmrope import numerics as nm
 from pmrope.decoding import LENGTH_CAP_FACTOR, GenerationResult
 from pmrope.model import SpecialTokens, decoder_forward, encode
+from pmrope.synthcorpus import PROMPT_SYMBOLS, Utterance
 from pmrope.training import _length_groups, _weighted_sum, batch_loss
 
 
@@ -179,3 +182,70 @@ def generate_rescan(text_tokens, prompt_audio_tokens, target_len, params, config
         if len(generated) >= cap:
             return GenerationResult(tokens=generated, stop_reason="length_cap",
                                     generated_len=len(generated), target_len=target_len)
+
+
+def render_audio_reference(text, style_id, stretch, spec):
+    """synthcorpus.render_audio read token by token off the motif array."""
+    if stretch < 1:
+        raise ValueError(f"stretch must be >= 1, got {stretch}")
+    if not 0 <= style_id < spec.n_styles:
+        raise ValueError(f"style {style_id} outside [0, {spec.n_styles})")
+    offset = style_id * spec.per_style
+    out = []
+    for symbol in text:
+        if not 0 <= symbol < spec.n_symbols:
+            raise ValueError(f"symbol {symbol} outside [0, {spec.n_symbols})")
+        for token in spec.motifs[symbol]:
+            out.extend([int(token) + offset] * stretch)
+    return out
+
+
+def prompt_reference(utterance, spec):
+    """synthcorpus.prompt_for: the symbols absent from the text, then those
+    in it, each in symbol order, cut to PROMPT_SYMBOLS and rendered at
+    stretch 1 by render_audio_reference."""
+    used = set(utterance.text)
+    symbols = ([s for s in range(spec.n_symbols) if s not in used]
+               + [s for s in range(spec.n_symbols) if s in used])
+    return render_audio_reference(symbols[:PROMPT_SYMBOLS], utterance.style_id, 1, spec)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: each JSONL record key -> (check of its value, what the check wants)
+_RECORD_CHECKS = {
+    "text": (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of ints"),
+    "style_id": (_is_int, "an int"),
+    "stretch": (_is_int, "an int"),
+    "audio": (lambda v: isinstance(v, list) and all(_is_int(x) for x in v), "a list of ints"),
+    "duration_tokens": (_is_int, "an int"),
+}
+
+
+def utterance_from_record_reference(rec, where, spec, audio_vocab):
+    """synthcorpus._utterance_from_record with one check per id."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: record must be a JSON object")
+    for key, (check, wanted) in _RECORD_CHECKS.items():
+        if key not in rec:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if not check(rec[key]):
+            raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
+    silence = SpecialTokens.for_vocab(audio_vocab).silence
+    ranges = (
+        ("text", rec["text"] and all(0 <= t < spec.n_symbols for t in rec["text"]),
+         f"nonempty, with ids in [0, {spec.n_symbols})"),
+        ("audio", all(0 <= t < audio_vocab or t == silence for t in rec["audio"]),
+         f"ids in [0, {audio_vocab}) or the silence id {silence}"),
+        ("style_id", 0 <= rec["style_id"] < spec.n_styles, f"in [0, {spec.n_styles})"),
+        ("stretch", rec["stretch"] >= 1, ">= 1"),
+        ("duration_tokens", rec["duration_tokens"] >= 1, ">= 1"),
+        ("duration_tokens", rec["duration_tokens"] == len(rec["audio"]),
+         f"the audio's length {len(rec['audio'])}"),
+    )
+    for key, ok, wanted in ranges:
+        if not ok:
+            raise ValueError(f"{where}: key {key!r} must be {wanted}, got {rec[key]!r}")
+    return Utterance(**{key: rec[key] for key in _RECORD_CHECKS})

@@ -6,10 +6,11 @@ checkpoint, prompt masked and prompt scored, trained once a session by
 conftest.recipe_run), generate tokens on the reference checkpoint at the
 default sampler settings, at top_p 1.0 and temperature 3.0 (so the default
 top_k alone bounds a support with mass past its 29th token) and at one
-other setting, the eval --limit 60 report and scatter, and the ablate
---limit 60 report. A change that alters any of them on purpose edits
-identity.json and says why; the diff of that file is then the record of
-what moved.
+other setting, the eval --limit 60 report and scatter, the ablate
+--limit 60 report, and the files save_corpus writes for the seed-0 corpus,
+without silence and at silence_prob 0.1. A change that alters any of them
+on purpose edits identity.json and says why; the diff of that file is then
+the record of what moved.
 
 The bits hold for one numpy build, BLAS and CPU only, so identity.json also
 records that machine. On another machine each artefact is computed twice,
@@ -78,6 +79,12 @@ def _cli(tmp: Path, command: str) -> dict:
     return {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
 
 
+def _corpus(tmp: Path, config: synthcorpus.CorpusConfig) -> dict:
+    """sha256 of each file save_corpus writes for config at audio_vocab 64."""
+    synthcorpus.save_corpus(synthcorpus.generate_corpus(config, 64), tmp)
+    return {path.name: sha256(path.read_bytes()) for path in sorted(tmp.iterdir())}
+
+
 #: the checkpoints of conftest.train_recipe, by its mask_prompt
 RECIPES = {"train_40_steps_prompt_masked": True, "train_40_steps_prompt_scored": False}
 
@@ -91,6 +98,9 @@ ARTEFACTS = {
         SamplerConfig(top_k=5, top_p=0.7, temperature=1.3, seed=2000)),
     "eval_limit_60": lambda tmp: _cli(tmp, "eval"),
     "ablate_limit_60": lambda tmp: _cli(tmp, "ablate"),
+    "corpus_seed_0": lambda tmp: _corpus(tmp, synthcorpus.CorpusConfig(seed=0)),
+    "corpus_seed_0_silence_prob_0.1": lambda tmp: _corpus(
+        tmp, synthcorpus.CorpusConfig(seed=0, silence_prob=0.1)),
 }
 
 

@@ -1,7 +1,8 @@
 """Static checks on the package source: every module reads what it imports,
 only the model builds progress ids, one function opens every tape, no
 module zeroes gradients, only the worker module touches processes and shared
-memory, and the CLI derives no per-row sampler seed.
+memory, the CLI derives no per-row sampler seed, and only render_audio reads
+the motif tokens.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -66,6 +67,28 @@ def test_one_function_opens_every_tape():
     callers = {p.name: calls_of(p.read_text(encoding="utf-8"), "Tape")
                for p in PACKAGE.glob("*.py")}
     assert {name: n for name, n in callers.items() if n} == {"training.py": 1}
+
+
+def functions_reading(source: str, attribute: str) -> list:
+    """The names of the functions that read attribute of some object, sorted."""
+    return sorted(fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, ast.Attribute) and node.attr == attribute
+                          for node in ast.walk(fn)))
+
+
+def test_the_check_finds_the_readers_of_an_attribute():
+    source = "def f(s):\n    return s.m[0]\ndef g(s):\n    return s.n\nh = lambda s: s.m\n"
+    assert functions_reading(source, "m") == ["f"]
+
+
+def test_only_render_audio_reads_motif_tokens():
+    # it renders its tables from them; SymbolSpec copies them, pickles them
+    # and reads their shape
+    readers = {p.name: functions_reading(p.read_text(encoding="utf-8"), "motifs")
+               for p in PACKAGE.glob("*.py")}
+    assert {name: fns for name, fns in readers.items() if fns} == {
+        "synthcorpus.py": ["__post_init__", "__reduce__", "n_symbols", "render_audio"]}
 
 
 def test_no_module_zeroes_gradients():

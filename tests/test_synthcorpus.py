@@ -1,13 +1,20 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import prompt_reference, render_audio_reference, utterance_from_record_reference
 from pmrope.metrics import style_similarity
 from pmrope.model import SpecialTokens
 from pmrope.synthcorpus import (
     CorpusConfig,
+    SymbolSpec,
     Utterance,
+    _utterance_from_record,
     build_symbol_spec,
     generate_corpus,
     load_corpus,
@@ -15,6 +22,19 @@ from pmrope.synthcorpus import (
     render_audio,
     save_corpus,
 )
+
+
+def mostly(valid, invalid):
+    """valid's values, and one time in ten invalid's."""
+    return st.integers(0, 9).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
 
 
 @pytest.fixture
@@ -43,6 +63,20 @@ class TestSymbolSpec:
         with pytest.raises(ValueError, match="fit"):
             build_symbol_spec(CorpusConfig(n_styles=100), audio_vocab=64)
 
+    def test_motifs_are_read_only(self, spec):
+        # render_audio keeps tables rendered from them on the spec
+        with pytest.raises(ValueError, match="read-only"):
+            spec.motifs[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.motifs = np.zeros_like(spec.motifs)
+        source = np.zeros((2, 3), dtype=np.int64)
+        copied = SymbolSpec(motifs=source, per_style=4, n_styles=1)
+        source[0, 0] = 3
+        assert copied.motifs[0, 0] == 0
+        render_audio([1], 0, 1, spec)
+        sent = pickle.loads(pickle.dumps(spec))  # as ablate sends it to its worker
+        assert not sent.motifs.flags.writeable and np.array_equal(sent.motifs, spec.motifs)
+
 
 class TestRenderAudio:
     def test_single_symbol_stretch_one(self, spec):
@@ -69,6 +103,34 @@ class TestRenderAudio:
             render_audio([0], 9, 1, spec)
         with pytest.raises(ValueError):
             render_audio([0], 0, 0, spec)
+
+    def test_invalid_symbol_is_the_first_bad_one(self, spec):
+        with pytest.raises(ValueError, match=r"^symbol -1 outside \[0, 16\)$"):
+            render_audio([0, -1, 99], 0, 1, spec)
+
+    def test_rendering_is_a_fresh_list(self, spec):
+        render_audio([2], 1, 2, spec).append(-1)
+        assert render_audio([2], 1, 2, spec) == render_audio_reference([2], 1, 2, spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tables_equal_the_token_by_token_reference(self, data):
+        # a fresh spec per example, the last one collected: a table kept
+        # anywhere but on its own spec would serve another spec's tokens
+        n_symbols, n_styles = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+        spec = build_symbol_spec(CorpusConfig(
+            n_symbols=n_symbols, n_styles=n_styles, motif_len=data.draw(st.integers(1, 5)),
+            seed=data.draw(st.integers(0, 3))), audio_vocab=64)
+        for _ in range(data.draw(st.integers(1, 4))):  # later calls may reuse a table
+            text = data.draw(st.lists(mostly(st.integers(0, n_symbols - 1),
+                                             st.sampled_from([-2, -1, n_symbols, n_symbols + 1])),
+                                      max_size=8))
+            style = data.draw(mostly(st.integers(0, n_styles - 1), st.sampled_from([-1, n_styles])))
+            stretch = data.draw(mostly(st.integers(1, 4), st.integers(-1, 0)))
+            assert (outcome(render_audio, text, style, stretch, spec)
+                    == outcome(render_audio_reference, text, style, stretch, spec))
+            utt = Utterance(text=text, style_id=style, stretch=1, audio=[], duration_tokens=1)
+            assert outcome(prompt_for, utt, spec) == outcome(prompt_reference, utt, spec)
 
 
 def small_config(**overrides):
@@ -197,3 +259,63 @@ class TestPersistence:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 11
         assert manifest["audio_vocab"] == 64
+
+
+#: valid records to mutate: silence among the audio ids, 16 symbols, 4 styles
+RECORDS = [json.loads(json.dumps(vars(u))) for u in
+           generate_corpus(small_config(silence_prob=0.3), 64).train]
+RECORD_SPEC = build_symbol_spec(small_config(), 64)
+SILENCE = SpecialTokens.for_vocab(64).silence
+#: values inside a list or in place of a field: booleans and floats a JSON
+#: decoder gives, ids at and past each bound, the silence id, other types
+#: (a list or dict built afresh for each draw, since a mutation may insert into it)
+ODD_VALUES = (st.sampled_from([True, False, 1.0, 0.0, None, "3"])
+              | st.builds(lambda: [1]) | st.builds(dict)
+              | st.integers(-3, 70) | st.sampled_from([-1, 15, 16, 63, 64, SILENCE]))
+
+
+class TestRecordChecks:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_checks_equal_the_per_id_reference(self, data):
+        rec = json.loads(json.dumps(data.draw(st.sampled_from(RECORDS))))
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(["insert", "replace", "empty", "drop", "fit"]))
+            key = data.draw(st.sampled_from(["text", "audio", "style_id", "stretch",
+                                             "duration_tokens"]))
+            if kind == "insert" and isinstance(rec.get(key), list):
+                at = data.draw(st.integers(0, len(rec[key])))
+                rec[key].insert(at, data.draw(ODD_VALUES))
+            elif kind == "replace":
+                rec[key] = data.draw(ODD_VALUES)
+            elif kind == "empty" and key in ("text", "audio"):
+                rec[key] = []
+            elif kind == "drop":
+                rec.pop(key, None)
+            elif kind == "fit" and isinstance(rec.get("audio"), list):
+                rec["duration_tokens"] = len(rec["audio"])  # so later checks are reached
+        if data.draw(st.integers(0, 19)) == 0:
+            rec = data.draw(st.sampled_from([None, [rec], 3]))
+        where = "val.jsonl, line 7"
+        assert (outcome(_utterance_from_record, rec, where, RECORD_SPEC, 64)
+                == outcome(utterance_from_record_reference, rec, where, RECORD_SPEC, 64))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: dict(r, text=[*r["text"], True]), "key 'text' must be a list of ints"),
+        (lambda r: dict(r, audio=[1.0, *r["audio"]]), "key 'audio' must be a list of ints"),
+        (lambda r: dict(r, text=[-1]), "key 'text' must be nonempty, with ids in [0, 16)"),
+        (lambda r: dict(r, audio=[*r["audio"], 64]),
+         "key 'audio' must be ids in [0, 64) or the silence id 67"),
+        (lambda r: dict(r, audio=[-1]), "key 'audio' must be ids in [0, 64)"),
+        (lambda r: dict(r, audio=[], duration_tokens=1),
+         "key 'duration_tokens' must be the audio's length 0"),
+        (lambda r: dict(r, audio=[SILENCE], duration_tokens=1), None),
+    ], ids=["bool_in_text", "float_in_audio", "negative_text_id", "audio_id_at_vocab",
+            "negative_audio_id", "empty_audio", "silence_only_audio"])
+    def test_whole_list_checks(self, edit, message):
+        rec = edit(RECORDS[0])
+        got = outcome(_utterance_from_record, rec, "where", RECORD_SPEC, 64)
+        if message is None:
+            assert got == Utterance(**rec)
+        else:
+            assert isinstance(got, str) and got.startswith(f"ValueError: where: {message}")

@@ -3,6 +3,9 @@ import mmap
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -463,7 +466,58 @@ class TestSplitSteps:
         assert multiprocessing.active_children() == []
 
 
+#: enters forked_worker with a worker forced on, prints the worker's pid and
+#: SIGKILLs itself, as a killed `pmrope train` or `ablate` would die
+KILLED_MAIN_PROCESS = textwrap.dedent("""
+    import os, signal
+    from pmrope import workers
+    from pmrope.model import ModelConfig, init_params
+
+    workers._worker_wanted = lambda pinned: True
+    config = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=8, n_heads=2, head_dim=4,
+                         ffn_dim=16, text_vocab=6, audio_vocab=8)
+    with workers.forked_worker(init_params(config, seed=0), config) as worker:
+        print(worker.process.pid, flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+""")
+
+
+def running(pid) -> bool:
+    """The process exists and is not a zombie (an orphan's zombie waits for
+    whichever process adopted it to reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestWorker:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc")
+    def test_worker_of_a_killed_main_process_exits(self):
+        # the worker must see the pipe close and exit; alive, it would also
+        # hold the killed process's stdout open for whoever reads it
+        import pmrope
+
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(pmrope.__file__))
+        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        # in a session of its own, so that a worker left holding its pipes can be ended
+        with subprocess.Popen([sys.executable, "-c", KILLED_MAIN_PROCESS], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # proc is not yet reaped: still its group
+                raise
+        assert proc.returncode == -signal.SIGKILL, err.decode(errors="replace")
+        worker = int(out)
+        deadline = time.monotonic() + 10
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker)
+
     def test_worker_needs_two_cpus_and_one_blas_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert workers._worker_wanted(True)
