@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, config_from_record, param_shapes
+from .model import ModelConfig, ModelParams, config_from_record, param_shapes, read_json
 from .numerics import Tensor
 
 MAGIC = b"PMRT"
@@ -107,8 +107,12 @@ def params_from_bytes(blob: bytes) -> ModelParams:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     config_blob = bytes(take(read_u32()))
     try:
-        config = config_from_record(ModelConfig, json.loads(config_blob.decode("utf-8")))
-    except ValueError as err:  # also bad UTF-8 and bad JSON
+        record = read_json(config_blob, "bad config record")
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
+    try:
+        config = config_from_record(ModelConfig, record)
+    except ValueError as err:
         raise CheckpointError(f"bad config record: {err}") from None
     n_tensors = read_u32()
     directory = []
@@ -137,4 +141,8 @@ def params_from_bytes(blob: bytes) -> ModelParams:
 
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return params_from_bytes(blob)
+    except CheckpointError as err:
+        raise CheckpointError(f"checkpoint {path}: {err}") from None

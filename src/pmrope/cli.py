@@ -3,11 +3,14 @@ generation, evaluation, and the paired on/off cross-attention comparison.
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime/divergence error.
 All randomness flows from explicit seeds; reruns are byte-identical.
+Run configs are decoded by model.read_json. _write opens every file this
+module writes, and the scatter and loss CSV share _csv's row format.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -29,7 +32,7 @@ from .metrics import (
     style_similarity,
     wilson_interval,
 )
-from .model import ModelConfig, SpecialTokens, config_from_record
+from .model import ModelConfig, SpecialTokens, config_from_record, read_json
 from .synthcorpus import (
     CorpusConfig,
     SymbolSpec,
@@ -42,12 +45,14 @@ from .synthcorpus import (
     prompt_for,
     save_corpus,
 )
-from .training import DivergenceError, TrainConfig, train, write_loss_csv
+from .training import DivergenceError, TrainConfig, train
 from .workers import WorkerError, forked_worker
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+_LOSS_HEADER = "step,train_loss,val_loss"
 
 
 class ConfigError(ValueError):
@@ -66,17 +71,10 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "corpus": CorpusConfig}
 
 def load_run_config(path=None) -> RunConfig:
     """Parse a JSON run configuration; unknown keys and mistyped values are rejected."""
-    if path is None:
-        raw = {}
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except UnicodeDecodeError as err:
-            raise ConfigError(f"config {path} is not UTF-8: {err}") from None
-        # bad syntax, an int of more digits than Python parses, or deep nesting
-        except (ValueError, RecursionError) as err:
-            raise ConfigError(f"config {path} is not valid JSON: {err}") from None
+    try:
+        raw = {} if path is None else read_json(Path(path).read_bytes(), f"config {path}")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for key in raw:
@@ -150,18 +148,19 @@ def _ablate_arm(spec: SymbolSpec, utterances, sampler: SamplerConfig, params, co
     return {r.metric: asdict(r) for r in reports}
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_scatter(path, detail) -> None:
+def _csv(header: str, rows) -> str:
+    """The header line, then one int,float,float line per row, floats to six places."""
+    return "".join([header + "\n"] + [f"{i},{a:.6f},{b:.6f}\n" for i, a, b in rows])
+
+
+def _write(path, text: str) -> None:
+    """The one place this module opens a file to write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("utterance,target_duration,generated_duration\n")
-        pairs = zip(detail["target_seconds"], detail["generated_seconds"])
-        for idx, (target, generated) in enumerate(pairs):
-            fh.write(f"{idx},{target:.6f},{generated:.6f}\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +186,11 @@ def cmd_train(args) -> int:
     except (DivergenceError, WorkerError) as err:
         retained = ""
         if err.result is not None:  # else it broke off before the first checkpoint
-            write_loss_csv(loss_csv, err.result.curve)
+            _write(loss_csv, _csv(_LOSS_HEADER, err.result.curve))
             retained = f" (best checkpoint retained at {args.out})"
         print(f"error: {err}{retained}", file=sys.stderr)
         return EXIT_RUNTIME
-    write_loss_csv(loss_csv, result.curve)
+    _write(loss_csv, _csv(_LOSS_HEADER, result.curve))
     print(f"best validation loss {result.best_val_loss:.4f} at step {result.best_step}; "
           f"checkpoint at {args.out}, losses at {loss_csv}")
     return EXIT_OK
@@ -237,11 +236,11 @@ def cmd_generate(args) -> int:
     sampler = SamplerConfig(top_k=args.top_k, top_p=args.top_p,
                             temperature=args.temperature, seed=args.seed)
     result = generate(text, prompt, target_len, params, config, sampler)
-    payload = json.dumps(asdict(result), indent=2)
+    payload = _json(asdict(result))
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        _write(args.out, payload)
     else:
-        print(payload)
+        print(payload, end="")
     return EXIT_OK
 
 
@@ -261,9 +260,10 @@ def cmd_eval(args) -> int:
     utterances = _test_slice(corpus, args.limit, config)
     sampler = SamplerConfig(seed=args.seed)
     reports, detail = evaluate_model(params, config, corpus.spec, utterances, sampler)
-    _write_json(args.report, [asdict(r) for r in reports])
+    _write(args.report, _json([asdict(r) for r in reports]))
     scatter = args.scatter if args.scatter else str(args.report) + ".scatter.csv"
-    _write_scatter(scatter, detail)
+    _write(scatter, _csv("utterance,target_duration,generated_duration", zip(
+        itertools.count(), detail["target_seconds"], detail["generated_seconds"])))
     for report in reports:
         print(f"{report.metric}: {report.mean:.4f} [{report.ci_low:.4f}, {report.ci_high:.4f}] "
               f"(n={report.n}, {report.method})")
@@ -288,7 +288,7 @@ def cmd_ablate(args) -> int:
         metric: blocks["pm_on"][metric]["mean"] - blocks["pm_off"][metric]["mean"]
         for metric in ("error_rate", "style_similarity", "duration_accuracy")
     }
-    _write_json(args.report, {"configurations": blocks, "deltas": deltas})
+    _write(args.report, _json({"configurations": blocks, "deltas": deltas}))
     for label, block in blocks.items():
         print(f"{label}: " + "  ".join(f"{m}={block[m]['mean']:.4f}" for m in block))
     print("deltas: " + "  ".join(f"{m}={v:+.4f}" for m, v in deltas.items()))

@@ -12,6 +12,7 @@ import numpy as np
 DEFAULT_BOOTSTRAP_RESAMPLES = 10000
 DEFAULT_BOOTSTRAP_SEED = 42
 DEFAULT_DA_MARGIN = 0.10
+CI_LEVEL = 0.95
 
 # absorbs float rounding at inclusive boundaries (e.g. gen exactly 1.1*target)
 _TIE_EPS = 1e-12
@@ -66,21 +67,19 @@ def duration_accuracy(gen, target, margin: float = DEFAULT_DA_MARGIN) -> float:
     return float((np.abs(g - t) / t <= margin + _TIE_EPS).mean())
 
 
-def bootstrap_ci(values, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES, level: float = 0.95,
+def bootstrap_ci(values, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
                  seed: int = DEFAULT_BOOTSTRAP_SEED, metric: str = "mean") -> EvalReport:
-    """Percentile bootstrap of the mean from one seeded generator."""
+    """Percentile bootstrap of the mean from one seeded generator, at CI_LEVEL."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("bootstrap_ci needs a nonempty 1-d sample")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n = arr.size
     idx = rng.integers(0, n, size=(resamples, n))
     means = arr[idx].mean(axis=1)
-    tail = (1.0 - level) / 2.0 * 100.0
+    tail = (1.0 - CI_LEVEL) / 2.0 * 100.0  # 2.500000000000002, which the reports carry
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     mean = float(arr.mean())
     return EvalReport(metric=metric, mean=mean, ci_low=min(float(lo), mean),
@@ -88,16 +87,13 @@ def bootstrap_ci(values, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES, level: fl
                       resamples=resamples, seed=seed)
 
 
-def wilson_interval(successes: int, n: int, level: float = 0.95,
-                    metric: str = "proportion") -> EvalReport:
-    """Closed-form Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int, metric: str = "proportion") -> EvalReport:
+    """Closed-form Wilson score interval for a binomial proportion, at CI_LEVEL."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= successes <= n:
         raise ValueError(f"successes must lie in [0, {n}], got {successes}")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)
     p = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n

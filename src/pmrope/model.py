@@ -10,6 +10,7 @@ five extra control tokens and the output head is linear -> GELU -> linear.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -84,6 +85,18 @@ _FIELD_CHECKS = {
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "tuple": (lambda v: isinstance(v, list) and set(map(type, v)) <= {int}, "a list of ints"),
 }
+
+
+def read_json(raw: bytes, where: str):
+    """One JSON document decoded from raw bytes; ValueError names where when they
+    are not UTF-8 or not JSON Python can read (bad syntax, an int of more digits
+    than it parses, or nesting past its recursion limit)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{where}: not UTF-8: {err}") from None
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"{where}: not valid JSON: {err}") from None
 
 
 def config_from_record(cls, record):

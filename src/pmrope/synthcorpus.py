@@ -8,8 +8,9 @@ through the decoder's progress schedule.
 
 render_audio is the only renderer: for each (style, stretch) pair it builds
 once a table of every symbol's tokens and keeps it on the SymbolSpec, whose
-motifs are read-only so that no table goes stale. load_corpus checks each
-record's id lists whole, with min, max and a set, not one id at a time.
+motifs are read-only so that no table goes stale. load_corpus decodes each
+line with model.read_json, which names the file and line of JSON Python cannot
+read, and checks each record's id lists whole, with min, max and a set.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _FIELD_CHECKS, ModelConfig, SpecialTokens, config_from_record
+from .model import _FIELD_CHECKS, ModelConfig, SpecialTokens, config_from_record, read_json
 
 #: text symbols rendered into each utterance's style prompt
 PROMPT_SYMBOLS = 2
@@ -236,15 +237,6 @@ _RECORD_CHECKS = {key: _FIELD_CHECKS[kind] for key, kind in (
     ("duration_tokens", "int"))}
 
 
-def _load_json(raw: bytes, where: str):
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{where}: not UTF-8: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{where}: not valid JSON: {err}") from None
-
-
 def check_model_fits(config: CorpusConfig, audio_vocab: int, model: ModelConfig) -> None:
     """Raise ValueError, naming both values, unless a model of config model
     reads and writes this corpus's alphabets: the same audio_vocab, and no
@@ -264,7 +256,7 @@ def load_manifest(corpus_dir):
     missing or mistyped entry one naming the file and the key.
     """
     path = Path(corpus_dir) / MANIFEST_FILE
-    manifest = _load_json(path.read_bytes(), str(path))
+    manifest = read_json(path.read_bytes(), str(path))
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     for key in ("config", "audio_vocab"):
@@ -331,7 +323,7 @@ def load_corpus(corpus_dir) -> Corpus:
         with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
             for number, line in enumerate(fh, start=1):
                 where = f"{path}, line {number}"
-                utterances.append(_utterance_from_record(_load_json(line, where), where,
+                utterances.append(_utterance_from_record(read_json(line, where), where,
                                                          corpus.spec, audio_vocab))
         setattr(corpus, split, utterances)
     return corpus

@@ -10,7 +10,8 @@ train() runs in workers.forked_worker, which shares the parameters with its
 worker, where one runs. Both processes then open training tapes in
 _share_gradients alone, and gradients are summed in the order one tape over
 the whole batch sums them, so the loss curve and the checkpoint bytes do not
-depend on whether the worker runs.
+depend on whether the worker runs. This module opens no file: the CLI writes
+the loss curve train() returns.
 """
 
 from __future__ import annotations
@@ -287,9 +288,8 @@ def _share_gradients(batch: Batch, mask_prompt: bool, groups, total: int,
                      params: ModelParams, config: ModelConfig) -> tuple:
     """Some length groups of a batch, forward and backward on one tape: their
     batch_loss parts, and every parameter's gradient of their share of the
-    batch loss (the parts weighted over its total positions; None where the
-    share leaves one untouched), or None when the share is not finite. The
-    gradients are left on the params too."""
+    batch loss (the parts weighted over its total positions), or None when
+    the share is not finite. The gradients are left on the params too."""
     for _, t in params.items():
         t.grad = None  # so the backward leaves only this share's gradient in it
     with Tape() as tape:
@@ -337,15 +337,10 @@ def _step_gradients(batch: Batch, params: ModelParams, config: ModelConfig,
     parts, _ = _share_gradients(batch, mask_prompt, groups[k:], total, params, config)
     theirs = worker.receive() if k else []
     loss = _weighted_sum([p for group, _ in theirs for p in group] + parts, total).item()
-    if math.isfinite(loss):  # so every share is, and every share has gradients
+    if math.isfinite(loss):  # so is every share, and each gives every parameter a gradient
         for i, (_, t) in enumerate(params.items()):
             for _, grads in reversed(theirs):
-                if grads[i] is None:
-                    continue
-                if t.grad is None:
-                    t.grad = grads[i]
-                else:
-                    t.grad += grads[i]
+                t.grad += grads[i]
     return loss
 
 
@@ -455,10 +450,3 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
             err.result = TrainResult(best_params, best_val, best_step, curve)
             raise
     return TrainResult(best_params, best_val, best_step, curve)
-
-
-def write_loss_csv(path, curve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,train_loss,val_loss\n")
-        for step, train_loss, val_loss in curve:
-            fh.write(f"{step},{train_loss:.6f},{val_loss:.6f}\n")

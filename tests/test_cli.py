@@ -1,14 +1,19 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, replace
+import time
+import warnings
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmrope import cli, decoding, numerics, training, workers
-from pmrope.checkpoint import load_checkpoint, save_checkpoint
+from pmrope.checkpoint import (
+    CheckpointError,
+    checkpoint_bytes,
+    load_checkpoint,
+    params_from_bytes,
+    save_checkpoint,
+)
 from pmrope.cli import _SECTIONS, ConfigError, build_parser, evaluate_model, load_run_config, main
 from pmrope.decoding import MAX_TARGET_LEN, SamplerConfig
 from pmrope.model import ModelConfig, SpecialTokens, init_params
@@ -33,6 +44,27 @@ SMALL_RUN = {
     "train": {"total_steps": 8, "validation_interval": 4, "peak_lr": 1e-3,
               "token_budget": 512, "seed": 0},
 }
+
+#: SMALL_RUN trained for longer, validating every other step: it saves a
+#: checkpoint whenever validation improves, so often
+KILL_RUN = dict(SMALL_RUN, train=dict(SMALL_RUN["train"], total_steps=120,
+                                      validation_interval=2))
+#: how long after its first save a `pmrope train` of KILL_RUN is killed, at most
+KILL_WINDOW_S = 1.0
+
+
+def session_processes(sid) -> list:
+    """The pids of the processes of session sid, zombies left out."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
 
 
 @pytest.fixture
@@ -121,7 +153,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not UTF-8"):
             load_run_config(path)
         assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
-        assert f"config {path} is not UTF-8" in capsys.readouterr().err
+        assert f"config {path}: not UTF-8" in capsys.readouterr().err
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "run.json"
@@ -138,12 +170,48 @@ class TestRunConfig:
         assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
         assert f"config key {key!r} must be a float, got an int too large" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000], ids=["digits", "nesting"])
-    def test_json_python_cannot_read_exits_2(self, tmp_path, capsys, text):
-        path = tmp_path / "run.json"
-        path.write_text(text)
-        assert main(["corpus", "--config", str(path), "--out", str(tmp_path / "c")]) == 2
-        assert "is not valid JSON" in capsys.readouterr().err
+    @pytest.mark.parametrize("where, text", [
+        (where, text) for where in ("config", "corpus_line", "manifest", "checkpoint")
+        for text in ("1" * 5000, "[" * 100000)
+    ], ids=["digits", "nesting", "corpus_line_digits", "corpus_line_nesting", "manifest_digits",
+            "manifest_nesting", "checkpoint_digits", "checkpoint_nesting"])
+    def test_json_python_cannot_read_exits_2(self, tmp_path, capsys, shared_corpus_dir, where,
+                                             text):
+        # an int of more digits than Python parses, or nesting past its
+        # recursion limit, named by file (and line), never a traceback
+        checkpoint = tmp_path / "m.pmrt"
+        blob = checkpoint_bytes(init_params(ModelConfig(**SMALL_RUN["model"]), seed=0))
+        corpus = tmp_path / "corpus"
+        shutil.copytree(shared_corpus_dir, corpus)
+        argv = ["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                "--report", str(tmp_path / "report.json")]
+        if where == "config":
+            path = tmp_path / "run.json"
+            path.write_text(text)
+            argv = ["corpus", "--config", str(path), "--out", str(tmp_path / "c")]
+            named = f"config {path}: not valid JSON"
+        elif where == "corpus_line":
+            path = corpus / "val.jsonl"
+            lines = path.read_text().splitlines()
+            lines[1] = text
+            path.write_text("\n".join(lines) + "\n")
+            named = f"{path}, line 2: not valid JSON"
+        elif where == "manifest":
+            path = corpus / "manifest.json"
+            path.write_text(text)
+            named = f"{path}: not valid JSON"
+        else:  # the checkpoint's config record
+            n = struct.unpack("<I", blob[8:12])[0]
+            blob = blob[:8] + struct.pack("<I", len(text)) + text.encode() + blob[12 + n:]
+            with pytest.raises(CheckpointError, match="bad config record: not valid JSON"):
+                params_from_bytes(blob)
+            argv = ["generate", "--checkpoint", str(checkpoint), "--text", "1",
+                    "--oracle-length", "4"]
+            named = f"checkpoint {checkpoint}: bad config record: not valid JSON"
+        checkpoint.write_bytes(blob)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -226,6 +294,23 @@ class TestTrainCommand:
         assert header == "step,train_loss,val_loss"
         assert steps == sorted(steps)
         assert steps[0] == 0
+
+    def test_loss_csv_is_the_curve_to_six_places(self, tmp_path, run_config_path, corpus_dir,
+                                                 monkeypatch):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(training.train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", recording)
+        csv_path = tmp_path / "losses.csv"
+        assert main(["train", "--config", run_config_path, "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "m.pmrt"), "--loss-csv", str(csv_path),
+                     "--quiet"]) == 0
+        (result,) = results
+        rows = "".join(f"{step},{t:.6f},{v:.6f}\n" for step, t, v in result.curve)
+        assert csv_path.read_bytes() == ("step,train_loss,val_loss\n" + rows).encode()
 
     def test_checkpoint_round_trips_byte_identically(self, checkpoint, tmp_path):
         from pmrope.checkpoint import load_checkpoint, save_checkpoint
@@ -446,6 +531,56 @@ class TestTrainCommand:
                      str(tmp_path / "nowhere"), "--out", str(tmp_path / "m.pmrt"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc")
+    def test_killed_train_leaves_a_checkpoint_it_saved(self, tmp_path, corpus_dir, monkeypatch):
+        # `pmrope train` itself is SIGKILLed at seeded moments after its first
+        # save: the file left must be one of the checkpoints the run saves,
+        # whole, and no process of its session, its worker included, may live on
+        config = tmp_path / "kill.json"
+        config.write_text(json.dumps(KILL_RUN))
+        argv = ["train", "--config", str(config), "--corpus", str(corpus_dir), "--quiet"]
+        saved = set()
+        save = training.save_checkpoint
+
+        def recording(path, params):
+            saved.add(hashlib.sha256(checkpoint_bytes(params)).hexdigest())
+            return save(path, params)
+
+        monkeypatch.setattr(training, "save_checkpoint", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(tmp_path / "whole.pmrt")]) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        rng = random.Random(0)
+        for run in range(3):
+            out = tmp_path / f"killed-{run}.pmrt"
+            proc = subprocess.Popen([sys.executable, "-m", "pmrope.cli", *argv, "--out", str(out)],
+                                    env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, start_new_session=True)
+            try:
+                deadline = time.monotonic() + 30
+                while not out.exists():
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.002)
+                time.sleep(rng.uniform(0.0, KILL_WINDOW_S))
+                proc.kill()  # the main process only
+                proc.wait(timeout=10)
+                deadline = time.monotonic() + 10
+                while session_processes(proc.pid) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert session_processes(proc.pid) == []
+            except (AssertionError, subprocess.TimeoutExpired):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)  # what is left of its session
+                raise
+            finally:
+                proc.wait()
+            assert hashlib.sha256(out.read_bytes()).hexdigest() in saved
+            assert load_checkpoint(out).config == ModelConfig(**SMALL_RUN["model"])
+            left = list(tmp_path.glob(f".{out.name}.*.tmp"))  # the kill skips their removal
+            if left:
+                warnings.warn(f"a killed train left {len(left)} temporary checkpoint file(s)")
+
 
 class TestGenerateCommand:
     def test_sampling_flags_default_to_sampler_config(self):
@@ -556,13 +691,25 @@ class TestGenerateCommand:
                      "--text", "1", "--oracle-length", "4"])
         assert code == 2
 
-    def test_result_written_to_file(self, checkpoint, tmp_path):
+    def test_result_written_to_file(self, checkpoint, tmp_path, capsys, monkeypatch):
+        # the file holds exactly what stdout prints without --out
+        results = []
+
+        def recording(*args):
+            results.append(decoding.generate(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "generate", recording)
         out = tmp_path / "gen.json"
-        code = main(["generate", "--checkpoint", str(checkpoint), "--text", "1",
-                     "--oracle-length", "4", "--out", str(out)])
-        assert code == 0
-        assert set(json.loads(out.read_text())) == {
-            "tokens", "stop_reason", "generated_len", "target_len"}
+        argv = ["generate", "--checkpoint", str(checkpoint), "--text", "1", "--oracle-length", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert results[0] == results[1]
+        assert out.read_bytes() == printed.encode() == (
+            json.dumps(asdict(results[0]), indent=2) + "\n").encode()
+        assert set(json.loads(printed)) == {"tokens", "stop_reason", "generated_len", "target_len"}
 
 
 class TestEvalCommand:

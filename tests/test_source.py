@@ -1,8 +1,9 @@
 """Static checks on the package source: every module reads what it imports,
 only the model builds progress ids, one function opens every tape, no
 module zeroes gradients, only the worker module touches processes and shared
-memory, the CLI derives no per-row sampler seed, and only render_audio reads
-the motif tokens.
+memory, the CLI derives no per-row sampler seed, only render_audio reads
+the motif tokens, only model.read_json decodes JSON, and the CLI opens the
+files it writes in one function.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -126,3 +127,39 @@ def test_the_cli_derives_no_sampler_seed():
     # generate_batch seeds row i with sampler.seed + i; callers pass one sampler
     assert calls_of((PACKAGE / "cli.py").read_text(encoding="utf-8"), "replace",
                     keyword="seed") == 0
+
+
+def functions_calling(source: str, *names: str, owner: str | None = None) -> list:
+    """The names of the functions that call one of names, bare or as an
+    attribute, sorted; with owner, only the calls owner.name."""
+    def calls(node):
+        func = getattr(node, "func", None)
+        if owner is not None:
+            return (isinstance(func, ast.Attribute) and func.attr in names
+                    and getattr(func.value, "id", None) == owner)
+        return getattr(func, "id", None) in names or getattr(func, "attr", None) in names
+
+    return sorted(fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef) and any(map(calls, ast.walk(fn))))
+
+
+def test_the_check_finds_the_callers_of_a_function():
+    source = ("def f(p):\n    return open(p)\ndef g(p):\n    return p.open()\n"
+              "def h(b):\n    return json.loads(b)\ndef k(b):\n    return pickle.loads(b)\n")
+    assert functions_calling(source, "open") == ["f", "g"]
+    assert functions_calling(source, "load", "loads", owner="json") == ["h"]
+
+
+def test_only_read_json_decodes_json():
+    # so every JSON input names its file and exits 2 on what json cannot read
+    readers = {p.name: functions_calling(p.read_text(encoding="utf-8"), "load", "loads",
+                                         owner="json")
+               for p in PACKAGE.glob("*.py")}
+    assert {name: fns for name, fns in readers.items() if fns} == {"model.py": ["read_json"]}
+
+
+def test_the_cli_writes_files_in_one_function():
+    # cli._write opens every file the CLI writes; training opens none
+    cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert functions_calling(cli, "open") == ["_write"] and calls_of(cli, "open") == 1
+    assert calls_of((PACKAGE / "training.py").read_text(encoding="utf-8"), "open") == 0

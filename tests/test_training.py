@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -387,6 +388,23 @@ class TestSplitSteps:
                     for name, t in params.items():
                         assert t.grad.tobytes() == want_grads[name], name
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pm_rope", [True, False], ids=["rotation_on", "rotation_off"])
+    @pytest.mark.parametrize("mask_prompt", [False, True], ids=["prompt_scored", "prompt_masked"])
+    def test_every_group_gives_every_parameter_a_gradient(self, pm_rope, mask_prompt):
+        # so _step_gradients adds a worker's gradients with no None case: the
+        # embedding vjps are dense, and every length group scores a position
+        config = replace(SPLIT_MODEL, pm_rope_enabled=pm_rope)
+        examples = corpus_examples(small_corpus(n_train=40), config)
+        params = init_params(config, seed=0)
+        for batch in make_batches(examples, 512, seed=0,
+                                  pad_id=SpecialTokens.for_vocab(64).pad):
+            groups = training._length_groups(batch.lengths.tolist())
+            shares = training._each_group_gradients(batch, mask_prompt, groups, 1, params,
+                                                    config)
+            for parts, grads in shares:
+                assert parts[0][1] >= 1
+                assert all(grad is not None for grad in grads)
 
     @pytest.mark.parametrize("worker_on", [False, True], ids=["alone", "with_worker"])
     def test_each_step_starts_from_no_gradient(self, monkeypatch, worker_on):
