@@ -20,7 +20,6 @@ DEFAULT_FRAME_RATE = 50
 @dataclass(frozen=True)
 class DurationEstimate:
     seconds: float
-    source: str  # "reference_ratio" | "default_rate"
 
     def __post_init__(self):
         if not 0 < self.seconds < math.inf:
@@ -43,7 +42,7 @@ def estimate_from_reference(ref_duration_s: float, n_ref: int, n_tgt: int) -> Du
         raise ValueError("unit counts must be >= 1")
     seconds = ref_duration_s / _as_float(n_ref, "reference unit count") * _as_float(
         n_tgt, "target unit count")
-    return DurationEstimate(seconds=seconds, source="reference_ratio")
+    return DurationEstimate(seconds)
 
 
 def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
@@ -54,7 +53,7 @@ def estimate_from_rate(n_tgt: int, language: str) -> DurationEstimate:
     if n_tgt < 1:
         raise ValueError("unit count must be >= 1")
     seconds = DEFAULT_RATES[language] * _as_float(n_tgt, "target unit count")
-    return DurationEstimate(seconds=seconds, source="default_rate")
+    return DurationEstimate(seconds)
 
 
 def target_token_count(estimate, frame_rate: int = DEFAULT_FRAME_RATE) -> int:

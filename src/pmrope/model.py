@@ -280,7 +280,7 @@ class DecoderCache:
 
     For each decoder layer it keeps the rotated self-attention keys and the
     values of every position run so far, and the cross-attention keys and
-    values, projected (and progress-rotated) once on the first pass. The
+    values that decoder_batch builds on the cache's first pass. The
     self-attention keys and values live only in per-layer buffers that
     double in length whenever a pass outgrows them, so a pass copies in only
     its own positions; their first length columns are filled. decoder_batch
@@ -327,22 +327,12 @@ def _self_attention_block(x, prefix, table, mask, params, config, cache=None):
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
 
-def _cross_attention_block(x, enc_states, prefix, dec_table, enc_table, mask,
-                           params, config, cache=None):
+def _cross_attention_block(x, kv, prefix, dec_table, mask, params, config):
     h = nm.rms_norm(x, params[f"{prefix}.norm"])
     q = nm.matmul(h, params[f"{prefix}.wq"])
     if config.pm_rope_enabled:
         q = rotate_heads(q, dec_table)
-    if cache is not None and prefix in cache.cross_kv:
-        k, v = cache.cross_kv[prefix]
-    else:
-        k = nm.matmul(enc_states, params[f"{prefix}.wk"])
-        v = nm.matmul(enc_states, params[f"{prefix}.wv"])
-        if config.pm_rope_enabled:
-            k = rotate_heads(k, enc_table)
-        if cache is not None:
-            cache.cross_kv[prefix] = (k, v)
-    a = attention(q, k, v, config.n_heads, mask)
+    a = attention(q, *kv, config.n_heads, mask)
     return nm.add(x, nm.matmul(a, params[f"{prefix}.wo"]))
 
 
@@ -406,7 +396,8 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     stream at positions cache.length onwards: they attend to the cached keys
     as well as to each other and are appended to the cache, whose length the
     pass then advances by S, so streams run through a cache hold no pads.
-    Cross-attention keys and values come from the cache after its first pass.
+    Every layer's cross-attention keys and values are built here on every
+    uncached pass and on a cache's first pass, which stores them for the rest.
     """
     (n, S), T = streams.shape, enc_states.data.shape[1]
     past = 0 if cache is None else cache.length
@@ -418,20 +409,27 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     self_mask = causal_mask(past + S, dtype)[past:] if S > 1 else None
     # one rotation table per position array, shared by every layer
     self_table = _self_table(n, past, past + S, config, dtype)
-    dec_table = enc_table = None
+    dec_table = None
     if config.pm_rope_enabled:
-        scale = config.progress_scale
-        dec_table = rope_table(progress_ids(total_lens, S, scale, start=past), rope,
-                               config.n_heads, dtype)
-        if cache is None or not cache.cross_kv:  # cached cross keys are rotated already
-            enc_table = rope_table(progress_ids(text_lens, T, scale), rope, config.n_heads,
-                                   np.result_type(enc_states.data, dtype))
+        dec_table = rope_table(progress_ids(total_lens, S, config.progress_scale, start=past),
+                               rope, config.n_heads, dtype)
+    cross_kv = {} if cache is None else cache.cross_kv
+    if not cross_kv:  # no cache, or its first pass
+        if config.pm_rope_enabled:
+            enc_table = rope_table(progress_ids(text_lens, T, config.progress_scale), rope,
+                                   config.n_heads, np.result_type(enc_states.data, dtype))
+        for i in range(config.n_dec_layers):
+            k = nm.matmul(enc_states, params[f"dec.{i}.cross.wk"])
+            v = nm.matmul(enc_states, params[f"dec.{i}.cross.wv"])
+            if config.pm_rope_enabled:
+                k = rotate_heads(k, enc_table)
+            cross_kv[f"dec.{i}.cross"] = (k, v)
     cross_mask = key_padding_mask(text_lens, T, dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_table, self_mask,
                                   params, config, cache)
-        x = _cross_attention_block(x, enc_states, f"dec.{i}.cross", dec_table,
-                                   enc_table, cross_mask, params, config, cache)
+        x = _cross_attention_block(x, cross_kv[f"dec.{i}.cross"], f"dec.{i}.cross", dec_table,
+                                   cross_mask, params, config)
         x = _ffn_block(x, f"dec.{i}.ffn", params)
     if cache is not None:
         cache.length += S

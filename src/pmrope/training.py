@@ -387,8 +387,8 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     The best checkpoint is written to checkpoint_path (when given) every time
     validation improves, so a divergence abort always leaves the last good
     checkpoint on disk; the DivergenceError carries the partial result, as
-    does the WorkerError of a worker that dies or hangs. No process started
-    here outlives the call.
+    does the WorkerError of a worker that dies or hangs (None until step 0's
+    validation is recorded). No process started here outlives the call.
     """
     check_model_fits(corpus.config, corpus.audio_vocab, model_config)
     if not corpus.train or not corpus.val:
@@ -401,23 +401,29 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
     state = OptimState.for_params(params)
 
     with forked_worker(params, model_config) as worker:
-        init_train = evaluate_loss(train_ex[: min(len(train_ex), 200)], params, model_config,
-                                   cfg.mask_prompt, worker)
-        init_val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
-        curve = [(0, init_train, init_val)]
-        best_params = params.copy()
-        best_val = init_val
-        best_step = 0
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, best_params)
-        if verbose:
-            print(f"step {0:>6d}/{cfg.total_steps}  train {init_train:.4f}  val {init_val:.4f}")
+        curve: list = []
+        result = None  # the lowest-validation snapshot so far, holding the curve
+
+        def validate(step: int, train_loss: float, worker) -> None:
+            nonlocal result
+            val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
+            curve.append((step, train_loss, val))
+            if result is None or val < result.best_val_loss:
+                result = TrainResult(params.copy(), val, step, curve)
+                if checkpoint_path is not None:
+                    save_checkpoint(checkpoint_path, result.params)
+            if verbose:
+                lr = f"  lr {lr_at(step, cfg):.2e}" if step else ""
+                print(f"step {step:>6d}/{cfg.total_steps}  train {train_loss:.4f}  "
+                      f"val {val:.4f}{lr}")
 
         window: list = []
         batches = itertools.chain.from_iterable(  # a new shuffle each epoch, made when reached
             make_batches(train_ex, cfg.token_budget, cfg.seed + epoch, specials.pad)
             for epoch in itertools.count())
         try:
+            validate(0, evaluate_loss(train_ex[:200], params, model_config, cfg.mask_prompt,
+                                      worker), worker)
             for step, batch in zip(range(1, cfg.total_steps + 1), batches):
                 loss_value = _step_gradients(batch, params, model_config, cfg.mask_prompt,
                                              worker)
@@ -433,20 +439,9 @@ def train(corpus: Corpus, cfg: TrainConfig, model_config: ModelConfig,
                     raise DivergenceError(f"{err} (step {step - 1})") from None
                 window.append(loss_value)
                 if step % cfg.validation_interval == 0 or step == cfg.total_steps:
-                    val = evaluate_loss(val_ex, params, model_config, cfg.mask_prompt, worker)
-                    train_avg = sum(window) / len(window)
+                    validate(step, sum(window) / len(window), worker)
                     window = []
-                    curve.append((step, train_avg, val))
-                    if val < best_val:
-                        best_val = val
-                        best_step = step
-                        best_params = params.copy()
-                        if checkpoint_path is not None:
-                            save_checkpoint(checkpoint_path, best_params)
-                    if verbose:
-                        print(f"step {step:>6d}/{cfg.total_steps}  train {train_avg:.4f}  "
-                              f"val {val:.4f}  lr {lr_at(step, cfg):.2e}")
         except (DivergenceError, WorkerError) as err:
-            err.result = TrainResult(best_params, best_val, best_step, curve)
+            err.result = result
             raise
-    return TrainResult(best_params, best_val, best_step, curve)
+    return result

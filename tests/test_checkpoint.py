@@ -1,11 +1,17 @@
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmrope
 from pmrope import checkpoint
 from pmrope.checkpoint import (
     CheckpointError,
@@ -96,6 +102,40 @@ def test_failed_save_keeps_the_previous_checkpoint(tiny_model, tmp_path, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["model.pmrt"]
     save_checkpoint(path, changed)
     assert path.read_bytes() == checkpoint_bytes(changed)
+
+
+KILL_CONFIG = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=8, n_heads=2, head_dim=4,
+                          ffn_dim=16, text_vocab=6, audio_vocab=8)
+
+#: saves the seed-0 parameters to argv[1], then SIGKILLs itself inside a save
+#: of the seed-1 parameters: after their bytes are written and fsynced, at
+#: the moment the save would rename them over the file
+KILLED_SAVE = textwrap.dedent("""
+    import os, signal, sys
+    from pmrope import checkpoint
+    from pmrope.model import ModelConfig, init_params
+
+    config = ModelConfig(**{config})
+    checkpoint.save_checkpoint(sys.argv[1], init_params(config, seed=0))
+    checkpoint.os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)
+    checkpoint.save_checkpoint(sys.argv[1], init_params(config, seed=1))
+""").format(config=KILL_CONFIG.__dict__)
+
+
+def test_a_save_killed_before_its_rename_leaves_the_last_checkpoint(tmp_path):
+    path = tmp_path / "model.pmrt"
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(pmrope.__file__))
+    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", KILLED_SAVE, str(path)], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode(errors="replace")
+    first = checkpoint_bytes(init_params(KILL_CONFIG, seed=0))
+    assert path.read_bytes() == first
+    assert checkpoint_bytes(load_checkpoint(path)) == first
+    # the killed save got as far as its temporary file, whole
+    (tmp,) = [p for p in tmp_path.iterdir() if p != path]
+    assert tmp.read_bytes() == checkpoint_bytes(init_params(KILL_CONFIG, seed=1))
 
 
 def test_loaded_tensors_match_exactly(tiny_model, tmp_path):

@@ -15,7 +15,6 @@ class TestReferenceRatio:
     def test_formula_arithmetic(self):
         est = estimate_from_reference(5.0, 50, 100)
         assert est.seconds == pytest.approx(10.0)
-        assert est.source == "reference_ratio"
 
     def test_equal_counts_reproduce_reference(self):
         assert estimate_from_reference(3.7, 41, 41).seconds == pytest.approx(3.7)
@@ -41,7 +40,6 @@ class TestDefaultRates:
     def test_english(self):
         est = estimate_from_rate(20, "EN")
         assert est.seconds == pytest.approx(1.7)
-        assert est.source == "default_rate"
 
     def test_japanese(self):
         assert estimate_from_rate(10, "JA").seconds == pytest.approx(1.0)
@@ -59,13 +57,13 @@ class TestDefaultRates:
 
 class TestTokenCount:
     def test_ten_seconds_at_fifty_hertz(self):
-        assert target_token_count(DurationEstimate(10.0, "reference_ratio")) == 500
+        assert target_token_count(DurationEstimate(10.0)) == 500
 
     def test_floor_semantics(self):
-        assert target_token_count(DurationEstimate(0.999, "reference_ratio")) == 49
+        assert target_token_count(DurationEstimate(0.999)) == 49
 
     def test_clamped_to_one(self):
-        assert target_token_count(DurationEstimate(0.01, "reference_ratio")) == 1
+        assert target_token_count(DurationEstimate(0.01)) == 1
 
     def test_plain_seconds_accepted(self):
         assert target_token_count(2.0) == 100

@@ -2,8 +2,9 @@
 only the model builds progress ids, one function opens every tape, no
 module zeroes gradients, only the worker module touches processes and shared
 memory, the CLI derives no per-row sampler seed, only render_audio reads
-the motif tokens, only model.read_json decodes JSON, and the CLI opens the
-files it writes in one function.
+the motif tokens, only model.read_json decodes JSON, the CLI opens the
+files it writes in one function, and only decoder_batch builds the
+cross-attention keys and values.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -163,3 +164,32 @@ def test_the_cli_writes_files_in_one_function():
     cli = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert functions_calling(cli, "open") == ["_write"] and calls_of(cli, "open") == 1
     assert calls_of((PACKAGE / "training.py").read_text(encoding="utf-8"), "open") == 0
+
+
+def functions_naming(source: str, *fragments: str) -> list:
+    """The names of the functions holding a string, or an f-string's literal
+    part, that contains one of fragments, sorted."""
+    return sorted(fn.name for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                          and any(f in node.value for f in fragments) for node in ast.walk(fn)))
+
+
+def test_the_check_finds_the_functions_naming_a_string():
+    source = ('def f(i):\n    return p[f"dec.{i}.cross.wk"]\n'
+              'def g(x):\n    return p[f"{x}.wq"]\n"""a .cross.wk docstring"""\n')
+    assert functions_naming(source, ".cross.wk", ".cross.wv") == ["f"]
+    assert functions_naming(source, ".wq") == ["g"]
+
+
+def test_only_decoder_batch_builds_the_cross_attention_keys():
+    # it projects (and progress-rotates) every layer's text keys and values in
+    # one loop, on every uncached pass and on a decode batch's first pass; the
+    # cross-attention block only reads them
+    model = (PACKAGE / "model.py").read_text(encoding="utf-8")
+    assert functions_naming(model, ".cross.wk", ".cross.wv") == ["decoder_batch"]
+    assert functions_naming(model, ".wk", ".wv") == ["_self_attention_block", "decoder_batch"]
+    assert functions_reading(model, "cross_kv") == ["__init__", "decoder_batch", "select"]
+    block = next(fn for fn in ast.walk(ast.parse(model))
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_cross_attention_block")
+    assert "cache" not in [arg.arg for arg in block.args.args + block.args.kwonlyargs]

@@ -17,6 +17,7 @@ from pmrope import numerics as nm
 from pmrope.model import ModelConfig, SpecialTokens, init_params
 from pmrope.numerics import Tape, Tensor
 from pmrope import training, workers
+from pmrope.checkpoint import checkpoint_bytes
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.training import (
     ADAM_EPS,
@@ -482,6 +483,55 @@ class TestSplitSteps:
         # the curve and the checkpoint of conftest.train_recipe
         assert recipe_run(mask_prompt, True) == recipe_run(mask_prompt, False)
         assert multiprocessing.active_children() == []
+
+
+class TestTrainRecord:
+    """What train() prints, and the partial result a DivergenceError carries."""
+
+    CFG = TrainConfig(peak_lr=3e-3, total_steps=5, validation_interval=1, token_budget=512)
+
+    def recorded_run(self, path, cfg, diverge_at=None):
+        """train() on a small corpus, its result (or DivergenceError), and the
+        checkpoint bytes of each of its saves; step diverge_at's loss is NaN."""
+        saves = []
+        save, step_gradients = training.save_checkpoint, training._step_gradients
+        steps = iter(range(1, cfg.total_steps + 1))
+
+        def recording(path, params):
+            saves.append(checkpoint_bytes(params))
+            save(path, params)
+
+        def diverging(*args):
+            loss = step_gradients(*args)
+            return math.nan if next(steps) == diverge_at else loss
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "save_checkpoint", recording)
+            patch.setattr(training, "_step_gradients", diverging)
+            try:
+                return train(small_corpus(n_train=40), cfg, SPLIT_MODEL, path, verbose=True), saves
+            except DivergenceError as err:
+                return err, saves
+
+    def test_printed_lines_are_the_curve(self, capsys, tmp_path):
+        cfg = replace(self.CFG, validation_interval=2)
+        result, _ = self.recorded_run(tmp_path / "m.pmrt", cfg)
+        assert [step for step, _, _ in result.curve] == [0, 2, 4, 5]
+        want = [f"step {s:>6d}/{cfg.total_steps}  train {t:.4f}  val {v:.4f}"
+                + (f"  lr {lr_at(s, cfg):.2e}" if s else "") for s, t, v in result.curve]
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_divergence_carries_the_best_snapshot_and_the_curve(self, tmp_path):
+        whole, whole_saves = self.recorded_run(tmp_path / "a.pmrt", self.CFG)
+        err, saves = self.recorded_run(tmp_path / "b.pmrt", self.CFG, diverge_at=4)
+        assert str(err) == "non-finite training loss at step 3"
+        partial = err.result
+        assert partial.curve == whole.curve[:4]  # steps 0 to 3, each validated
+        vals = [val for _, _, val in partial.curve]
+        assert partial.best_val_loss == min(vals) and partial.best_step == vals.index(min(vals))
+        assert partial.best_step > 0  # training improved on the initial parameters
+        assert saves == whole_saves[:len(saves)]  # the same snapshots, saved at the same steps
+        assert checkpoint_bytes(partial.params) == saves[-1] == (tmp_path / "b.pmrt").read_bytes()
 
 
 #: enters forked_worker with a worker forced on, prints the worker's pid and
