@@ -16,6 +16,7 @@ from .metrics import (
     bootstrap_ci,
     duration_accuracy,
     error_rate,
+    error_rates,
     pearson_r,
     style_similarity,
     wilson_interval,

@@ -28,7 +28,7 @@ from .metrics import (
     DEFAULT_DA_MARGIN,
     bootstrap_ci,
     duration_accuracy,
-    error_rate,
+    error_rates,
     style_similarity,
     wilson_interval,
 )
@@ -114,12 +114,11 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
     results = generate_batch(
         [(utt.text, prompt, utt.duration_tokens) for utt, prompt in zip(utterances, prompts)],
         params, config, sampler)
-    error_rates = []
+    errors = error_rates([utt.audio for utt in utterances], [result.tokens for result in results])
     similarities = []
     target_seconds = []
     generated_seconds = []
     for utt, prompt, result in zip(utterances, prompts, results):
-        error_rates.append(error_rate(utt.audio, result.tokens))
         if result.tokens:
             similarities.append(style_similarity(prompt, result.tokens, alphabets))
         else:
@@ -129,12 +128,12 @@ def evaluate_model(params, config, spec: SymbolSpec, utterances, sampler: Sample
     da = duration_accuracy(generated_seconds, target_seconds, DEFAULT_DA_MARGIN)
     successes = round(da * len(utterances))
     reports = [
-        bootstrap_ci(error_rates, metric="error_rate"),
+        bootstrap_ci(errors, metric="error_rate"),
         bootstrap_ci(similarities, metric="style_similarity"),
         wilson_interval(successes, len(utterances), metric="duration_accuracy"),
     ]
     detail = {
-        "error_rates": error_rates,
+        "error_rates": errors,
         "similarities": similarities,
         "target_seconds": target_seconds,
         "generated_seconds": generated_seconds,

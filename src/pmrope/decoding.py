@@ -12,12 +12,15 @@ sample alone; a row leaves the batch when it stops. Every row still in the
 batch has kept one token per step, so one step counter is the length of
 each, and the cache's length is the prefix plus that count. generate is a
 batch of one. Each pass hands decoder_batch every live row's text length and
-total length (prefix plus target), from which, with the cache's length, the
-decoder builds the progress of the positions it runs, those past the target
-that over-generation reaches included. At each step one filter_and_sample
-call takes the logits of every unfinished row through temperature scaling,
-top-k, then nucleus filtering as one matrix; each row then draws from its own
-generator exactly the token Generator.choice would draw from its support, so
+total length (prefix plus target). From these the prefill pass builds the
+rotation tables of every position up to the longest row's length cap, the
+progress past a target that over-generation reaches included, and each later
+pass slices its own. At each step one filter_and_sample call takes the
+logits of every unfinished row through temperature scaling, top-k, nucleus
+filtering, each support's mass and cdf and the pick of a token as one
+matrix. The only per-row work is one uniform drawn from each row's own
+generator, after every row's probabilities have been checked, and each row
+gets exactly the token Generator.choice would draw from its support, so
 batching changes no sampled token. Generation stops at eos or at a 1.2x
 length cap (slack enough for the +/-10% duration-accuracy window to register
 misses); targets above MAX_TARGET_LEN are refused before any work.
@@ -74,33 +77,52 @@ def filter_and_sample(logits, sampler: SamplerConfig, rngs) -> np.ndarray:
     nucleus with mass >= top_p -> sample.
 
     Every row uses sampler's settings and draws from its own generator in
-    rngs. Everything up to the nucleus cut runs over the whole matrix at once.
-    Each row then normalises its support and draws one rng.random() from its
-    generator, through the cdf that Generator.choice(support, p=probs)
-    builds, so every row draws exactly the token, and advances its generator
-    exactly as far, as that call would. The nucleus boundary uses >= (a token
-    landing exactly on top_p stays in); a tiny slack absorbs float rounding of
-    that tie. A row whose probabilities are not finite raises ValueError.
+    rngs. Everything runs over the whole matrix at once but the one
+    rng.random() that each row draws from its generator: each row normalises
+    its support by the mass a 1-D support.sum() gives and draws through the
+    cdf that Generator.choice(support, p=probs) builds, so every row draws
+    exactly the token, and advances its generator exactly as far, as that
+    call would. The nucleus boundary uses >= (a token landing exactly on top_p
+    stays in); a tiny slack absorbs float rounding of that tie. A row whose
+    probabilities are not finite raises ValueError before any row draws.
     """
     z = np.asarray(logits, dtype=np.float64) / sampler.temperature
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=1, keepdims=True)
-    order = (-p).argsort(axis=1, kind="stable")
-    ranked = p[np.arange(len(p))[:, None], order]
+    rows, width = p.shape
+    index = np.arange(rows)
+    # only each row's first top_k ranks are read, and the default sort ranks
+    # them as the stable one does unless two of its top_k + 1 largest tie
+    order = (-p).argsort(axis=1)
+    ranked = p[index[:, None], order]
+    head = ranked[:, :sampler.top_k + 1]
+    if (head[:, 1:] == head[:, :-1]).any():
+        order = (-p).argsort(axis=1, kind="stable")
+        ranked = p[index[:, None], order]
     # ranked rows are non-increasing, so their running mass is non-decreasing
     # and the tokens below top_p form a prefix of each row
     below = (ranked.cumsum(axis=1) < sampler.top_p - 1e-12).sum(axis=1)
-    tokens = np.empty(len(p), dtype=np.int64)
-    for row, (rng, n) in enumerate(zip(rngs, below.tolist())):
-        support = ranked[row, :min(n + 1, sampler.top_k)]
-        mass = support.sum()
-        if not mass > 0.0:  # a NaN logit or an infinite row max makes the row all NaN
-            raise ValueError(f"sampling probabilities of row {row} are not finite")
-        cdf = (support / mass).cumsum()
-        cdf /= cdf[-1]
-        tokens[row] = order[row, cdf.searchsorted(rng.random(), side="right")]
-    return tokens
+    sizes = np.minimum(below + 1, min(sampler.top_k, width))
+    # each support's mass as a 1-D support.sum() adds it up, pairing from its
+    # first item: reduceat adds a segment's first item to the pairwise sum of
+    # the rest, so each segment opens on its row's zero column (a zero column
+    # after each row keeps the last segment's end in bounds)
+    padded = np.zeros((rows, width + 2))
+    padded[:, 1:-1] = ranked
+    bounds = index.repeat(2) * (width + 2)
+    bounds[1::2] += 1 + sizes
+    mass = np.add.reduceat(padded.ravel(), bounds)[::2]
+    finite = mass > 0.0  # a NaN logit or an infinite row max makes the row all NaN
+    if not finite.all():
+        raise ValueError(f"sampling probabilities of row {finite.argmin()} are not finite")
+    cdf = (ranked / mass[:, None]).cumsum(axis=1)
+    cdf /= cdf[index, sizes - 1, None]
+    draws = np.array([rng.random() for rng in rngs])
+    # searchsorted(side="right") of each row's draw in its support's cdf; past
+    # the support the cdf stays at 1 or more, above every draw
+    picks = (cdf <= draws[:, None]).sum(axis=1)
+    return order[index, picks]
 
 
 def generate(text_tokens, prompt_audio_tokens, target_len: int, params: ModelParams,
@@ -152,7 +174,7 @@ def generate_batch(requests, params: ModelParams, config: ModelConfig,
     step = 0
     lengths = np.zeros(n, dtype=np.int64)
     out = np.empty((n, caps.max()), dtype=np.int64)
-    cache = DecoderCache()
+    cache = DecoderCache(inputs.shape[1] + int(caps.max()) - 1)  # a row's last token is never run
     while True:
         # enc_states are read on the first pass only; from then on the cache
         # holds the cross-attention keys and values

@@ -31,27 +31,73 @@ class EvalReport:
 
 
 def error_rate(reference, hypothesis) -> float:
-    """Levenshtein distance (unit costs) over the reference length.
+    """Levenshtein distance (unit costs) over the reference length: the
+    error_rates of one pair.
 
     May exceed 1.0 when the hypothesis carries more errors than the reference
-    has tokens. The dynamic programme runs one reference token per row: a
-    row takes the deletion and substitution moves from the row above, then
-    insertions as a running minimum of cur[j] - j, shifted back by j.
+    has tokens.
     """
-    ref = np.asarray(list(reference))
-    hyp = np.asarray(list(hypothesis))
-    if ref.size == 0:
+    return error_rates([reference], [hypothesis])[0]
+
+
+def error_rates(references, hypotheses) -> list:
+    """error_rate of each (reference, hypothesis) pair, by one dynamic programme
+    over every pair at once.
+
+    The programme runs one reference token per row, for every pair whose
+    reference is that long: a row takes the deletion and substitution moves
+    from the row above, then insertions as a running minimum of cur[j] - j,
+    shifted back by j. Hypotheses are right-padded to the longest; a pair's
+    distance is read at its own hypothesis length when its last reference
+    row is done. Pairs run longest reference first, so the rows still going
+    are always a prefix of them.
+    """
+    refs = [list(reference) for reference in references]
+    hyps = [list(hypothesis) for hypothesis in hypotheses]
+    if len(refs) != len(hyps):
+        raise ValueError(f"{len(refs)} references but {len(hyps)} hypotheses")
+    if not all(refs):
         raise ValueError("reference must be nonempty")
-    mismatch = ref[:, None] != hyp[None, :]
-    j = np.arange(hyp.size + 1)
-    prev = j
-    cur = np.empty_like(j)
-    for i in range(1, ref.size + 1):
-        cur[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + mismatch[i - 1], out=cur[1:])
-        cur -= j
-        prev = np.minimum.accumulate(cur) + j
-    return int(prev[-1]) / ref.size
+    if not refs:
+        return []
+    ref_lens = np.array([len(ref) for ref in refs])
+    hyp_lens = np.array([len(hyp) for hyp in hyps])
+    # one array of every token gives references and hypotheses one dtype
+    tokens = np.asarray([token for seq in refs + hyps for token in seq])
+    order = np.argsort(-ref_lens, kind="stable")
+    ref_tokens, hyp_tokens = np.split(tokens, [ref_lens.sum()])
+    padded_refs = _right_padded(ref_tokens, ref_lens)[order]
+    padded_hyps = _right_padded(hyp_tokens, hyp_lens)[order]
+    ref_lens, hyp_lens = ref_lens[order], hyp_lens[order]
+    j = np.arange(hyp_lens.max() + 1, dtype=np.int32)
+    prev = np.tile(j, (len(refs), 1))
+    cur = np.empty_like(prev)
+    distances = np.empty(len(refs), dtype=np.int64)
+    going = len(refs)
+    for i in range(1, ref_lens[0] + 1):
+        going = int((ref_lens[:going] >= i).sum())
+        row = cur[:going]
+        row[:, 0] = i
+        np.minimum(prev[:going, 1:] + 1,
+                   prev[:going, :-1] + (padded_refs[:going, i - 1, None] != padded_hyps[:going]),
+                   out=row[:, 1:])
+        row -= j
+        np.minimum.accumulate(row, axis=1, out=row)
+        row += j
+        done = np.flatnonzero(ref_lens[:going] == i)
+        distances[done] = row[done, hyp_lens[done]]
+        prev, cur = cur, prev  # the rows that are done are never read again
+    rates = np.empty(len(refs))
+    rates[order] = distances / ref_lens
+    return rates.tolist()
+
+
+def _right_padded(tokens: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """[rows, max(lens)] array holding row r's lens[r] tokens, taken in order
+    from tokens, left-aligned."""
+    padded = np.zeros((lens.size, lens.max()), dtype=tokens.dtype)
+    padded[np.arange(lens.max()) < lens[:, None]] = tokens
+    return padded
 
 
 def duration_accuracy(gen, target, margin: float = DEFAULT_DA_MARGIN) -> float:

@@ -24,8 +24,10 @@ from .positional import (
     RopeParams,
     RopeTable,
     progress_ids,
+    rope_halves,
     rope_table,
     rotate_heads,
+    widen_table,
 )
 
 N_SPECIAL_TOKENS = 5
@@ -286,11 +288,21 @@ class DecoderCache:
     its own positions; their first length columns are filled. decoder_batch
     advances length once per pass. Every row holds the same number of
     positions: cached streams are never padded.
+
+    The first pass also builds the rotation inputs of every position up to
+    max_length, the most any row's stream may reach: the self-attention
+    table, as one row that every row shares, and each row's progress
+    rope_halves, unexpanded. Each pass takes its own columns of them through
+    tables; a pass that outgrows them has them rebuilt, to at least twice
+    the positions run so far.
     """
 
-    def __init__(self):
+    def __init__(self, max_length: int = 0):
         self.length = 0           # decoder positions already run through the cache
+        self.max_length = max_length
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
+        self.self_table = None    # RopeTable of positions 0.., [1, P, d]
+        self.progress = ()        # rope_halves of each row's progress, [n, P, head_dim / 2]
         self._buffers: dict = {}  # layer prefix -> (keys, values), [n, capacity, d]
 
     def extend(self, prefix: str, k: Tensor, v: Tensor):
@@ -308,10 +320,22 @@ class DecoderCache:
             buf[:, past:end] = new
         return Tensor(buffers[0][:, :end]), Tensor(buffers[1][:, :end])
 
+    def tables(self, n: int, start: int, stop: int, n_heads: int) -> tuple:
+        """The rotation tables of the n rows' positions start..stop-1: the
+        self-attention one and the progress one (None with no progress kept)."""
+        columns = slice(start, stop)
+        shared = self.self_table
+        self_table = shared._replace(cos=shared.cos[:, columns].repeat(n, axis=0),
+                                     sin=shared.sin[:, columns].repeat(n, axis=0))
+        if not self.progress:
+            return self_table, None
+        return self_table, widen_table(*(half[:, columns] for half in self.progress), n_heads)
+
     def select(self, rows) -> None:
         """Keep only the given rows (indices in the current row order)."""
         for prefix, (k, v) in self.cross_kv.items():
             self.cross_kv[prefix] = (Tensor(k.data[rows]), Tensor(v.data[rows]))
+        self.progress = tuple(half[rows] for half in self.progress)
         for prefix, (keys, values) in self._buffers.items():
             self._buffers[prefix] = keys[rows], values[rows]
 
@@ -398,6 +422,11 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     pass then advances by S, so streams run through a cache hold no pads.
     Every layer's cross-attention keys and values are built here on every
     uncached pass and on a cache's first pass, which stores them for the rest.
+    An uncached pass builds the rotation tables of its own positions. A
+    cache's first pass builds them for every position up to the cache's
+    max_length (the self-attention table once for all rows, the progress
+    unexpanded per row, from these total_lens), and each pass widens its own
+    columns of them; progress past a row's total extrapolates.
     """
     (n, S), T = streams.shape, enc_states.data.shape[1]
     past = 0 if cache is None else cache.length
@@ -408,11 +437,21 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     # a single new position may see every key, so it needs no causal mask
     self_mask = causal_mask(past + S, dtype)[past:] if S > 1 else None
     # one rotation table per position array, shared by every layer
-    self_table = _self_table(n, past, past + S, config, dtype)
-    dec_table = None
-    if config.pm_rope_enabled:
-        dec_table = rope_table(progress_ids(total_lens, S, config.progress_scale, start=past),
-                               rope, config.n_heads, dtype)
+    if cache is None:
+        self_table = _self_table(n, 0, S, config, dtype)
+        dec_table = None
+        if config.pm_rope_enabled:
+            dec_table = rope_table(progress_ids(total_lens, S, config.progress_scale), rope,
+                                   config.n_heads, dtype)
+    else:
+        # the cache's first pass, or one past its tables
+        if cache.self_table is None or cache.self_table.cos.shape[1] < past + S:
+            stop = max(past + S, 2 * past, cache.max_length)
+            cache.self_table = _self_table(1, 0, stop, config, dtype)
+            if config.pm_rope_enabled:
+                cache.progress = rope_halves(progress_ids(total_lens, stop,
+                                                          config.progress_scale), rope, dtype)
+        self_table, dec_table = cache.tables(n, past, past + S, config.n_heads)
     cross_kv = {} if cache is None else cache.cross_kv
     if not cross_kv:  # no cache, or its first pass
         if config.pm_rope_enabled:

@@ -78,13 +78,26 @@ def rope_table(positions, params: RopeParams, n_heads: int, dtype) -> RopeTable:
     RoFormer's table form (Su et al. 2021, arXiv:2104.09864, eq. 34): a row x
     rotates to x*cos + pairswap(x)*sin, pairswap exchanging x[2i] and x[2i+1].
     cos and sin are positions.shape + (n_heads*head_dim,) in dtype; each pair
-    holds (cos, cos) and (-sin, +sin) of position * its frequency, computed in
-    float64 and cast once. One table serves every rotation at these positions.
+    holds (cos, cos) and (-sin, +sin) of position * its frequency: the
+    widen_table of rope_halves. One table serves every rotation at these
+    positions.
     """
+    return widen_table(*rope_halves(positions, params, dtype), n_heads)
+
+
+def rope_halves(positions, params: RopeParams, dtype) -> tuple:
+    """cos and sin of every position times each frequency, computed in float64
+    and cast once to dtype: positions.shape + (head_dim/2,), one column per
+    rotated pair of a head, where rope_table's rows hold n_heads*head_dim."""
     ang = np.asarray(positions, dtype=np.float64)[..., None] * params.frequencies
-    pair, sign, partner = _columns(params.head_dim, n_heads)
-    cos = np.cos(ang).astype(dtype)[..., pair]
-    sin = np.sin(ang).astype(dtype)[..., pair]
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+
+def widen_table(cos, sin, n_heads: int) -> RopeTable:
+    """The RopeTable of rope_halves' cos and sin for n_heads heads."""
+    pair, sign, partner = _columns(2 * cos.shape[-1], n_heads)
+    cos = cos[..., pair]
+    sin = sin[..., pair]
     sin *= sign  # exact: a sign flip
     return RopeTable(cos, sin, partner)
 

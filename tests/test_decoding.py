@@ -154,8 +154,11 @@ class TestBatchedSampler:
         logits = np.random.default_rng(0).normal(size=(4, 9))
         logits[2, 5] = np.nan
         rngs = [np.random.default_rng(i) for i in range(4)]
+        states = [rng.bit_generator.state for rng in rngs]
         with pytest.raises(ValueError, match="row 2 are not finite"):
             filter_and_sample(logits, SamplerConfig(), rngs)
+        # no row drew, the rows ahead of the bad one included
+        assert [rng.bit_generator.state for rng in rngs] == states
 
 
 class TestGenerate:

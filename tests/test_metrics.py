@@ -4,6 +4,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import levenshtein_recursive, pearson_direct, wilson_direct
 from pmrope.metrics import (
@@ -11,6 +13,7 @@ from pmrope.metrics import (
     bootstrap_ci,
     duration_accuracy,
     error_rate,
+    error_rates,
     pearson_r,
     style_similarity,
     wilson_interval,
@@ -54,6 +57,43 @@ class TestErrorRate:
             ref = list(rng.integers(0, 3, rng.integers(1, 7)))
             hyp = list(rng.integers(0, 3, rng.integers(0, 7)))
             assert error_rate(ref, hyp) <= (len(ref) + len(hyp)) / len(ref)
+
+
+@st.composite
+def ragged_pairs(draw):
+    """(references, hypotheses) of one token kind, int or str: references of
+    1 token or more, hypotheses empty, shorter or longer than their reference."""
+    tokens = draw(st.sampled_from([st.integers(0, 3), st.sampled_from("abc"),
+                                   st.integers(-2**62, 2**62)]))
+    n = draw(st.integers(1, 8))
+    refs = draw(st.lists(st.lists(tokens, min_size=1, max_size=12), min_size=n, max_size=n))
+    hyps = draw(st.lists(st.lists(tokens, max_size=16), min_size=n, max_size=n))
+    return refs, hyps
+
+
+class TestErrorRates:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_pairs())
+    def test_equals_error_rate_pair_by_pair(self, pairs):
+        refs, hyps = pairs
+        rates = error_rates(refs, hyps)
+        assert rates == [error_rate(ref, hyp) for ref, hyp in zip(refs, hyps)]
+        assert rates == [levenshtein_recursive(ref, hyp) / len(ref)
+                         for ref, hyp in zip(refs, hyps)]
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_an_empty_reference_anywhere_is_rejected(self, at):
+        refs = [[1, 2], [3], [4, 5, 6]]
+        refs[at] = []
+        with pytest.raises(ValueError, match="reference must be nonempty"):
+            error_rates(refs, [[1], [], [4, 4]])
+
+    def test_no_pairs_no_rates(self):
+        assert error_rates([], []) == []
+
+    def test_pair_counts_must_match(self):
+        with pytest.raises(ValueError, match="2 references but 1 hypotheses"):
+            error_rates([[1], [2]], [[1]])
 
 
 class TestDurationAccuracy:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_diff_grad, max_rel_err, whole_batch_loss
-from pmrope import model, training
+from pmrope import decoding, model, training
 from pmrope import numerics as nm
 from pmrope.model import (
     DecoderCache,
@@ -16,9 +16,11 @@ from pmrope.model import (
     decoder_batch,
     decoder_forward,
     encode,
+    encode_batch,
     init_params,
     key_padding_mask,
 )
+from pmrope.positional import progress_ids, rope_table
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
 from pmrope.numerics import Tape, Tensor
 
@@ -275,18 +277,19 @@ class TestRotationTables:
         monkeypatch.setattr(model, "rope_table", counted)
         return shapes
 
-    @pytest.mark.parametrize("pm_rope, want", [(True, [(1, 1), (2, 1)]), (False, [(1, 1)])],
+    @pytest.mark.parametrize("pm_rope, want", [(True, [(1, 6), (2, 3)]), (False, [(1, 6)])],
                              ids=["on", "off"])
     def test_cached_decode_step(self, tiny_model, monkeypatch, pm_rope, want):
         params, config = tiny_model
         config = replace(config, pm_rope_enabled=pm_rope)
         states = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)).astype(np.float32))
-        cache = DecoderCache()
+        cache = DecoderCache(6)
+        shapes = self.record_builds(monkeypatch)
         decoder_batch(np.array([[8, 1, 9], [8, 2, 9]]), states, [3, 3], [6, 6], cache,
                       params, config)
-        shapes = self.record_builds(monkeypatch)
+        assert shapes == want  # self positions up to max_length, encoder progress
         decoder_batch(np.array([[3], [4]]), states, [3, 3], [6, 6], cache, params, config)
-        assert shapes == want  # self positions, decoder progress; cross keys are cached
+        assert shapes == want  # the step slices the cache's tables
 
     def test_training_forward_pass(self, monkeypatch):
         config = ModelConfig(n_enc_layers=2, n_dec_layers=3, d_model=16, n_heads=2,
@@ -314,3 +317,78 @@ class TestRotationTables:
         for (n, S), T in passes:  # encoder self; decoder self, decoder and encoder progress
             want += [(1, T), (1, S), (n, S), (n, T)]
         assert shapes == want
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestPrefillTables:
+    """A decode batch's cache builds its rotation inputs on its first pass,
+    and every later pass slices them."""
+
+    @pytest.mark.parametrize("pm_rope", [True, False], ids=["on", "off"])
+    def test_each_pass_gets_the_tables_it_would_build(self, pm_rope):
+        config = replace(ModelConfig(), pm_rope_enabled=pm_rope)
+        params = init_params(config, seed=3)
+        specials = SpecialTokens.for_vocab(config.audio_vocab)
+        rope = model._rope_params(config.head_dim, config.rope_base)
+        states, text_lens = encode_batch([[1, 2], [3, 4, 5, 6], [7], [2, 2, 2]], params, config)
+        # mixed totals: all rows but row 1 run past theirs, so their progress extrapolates
+        totals = np.array([5, 40, 3, 23])
+        live = np.arange(4)
+        streams = np.array([[specials.bos, 5, specials.separator]] * 4)
+        cache = DecoderCache(30)
+        rng = np.random.default_rng(0)
+        for step in range(27):
+            past, width = cache.length, streams.shape[1]
+            decoder_batch(streams, states, text_lens[live], totals[live], cache, params, config)
+            n = live.size
+            self_table, dec_table = cache.tables(n, past, past + width, config.n_heads)
+            want = model._self_table(n, past, past + width, config, np.float32)
+            assert all(map(same_bits, self_table, want))
+            if pm_rope:
+                want = rope_table(progress_ids(totals[live], width, config.progress_scale,
+                                               start=past), rope, config.n_heads, np.float32)
+                assert all(map(same_bits, dec_table, want))
+            else:
+                assert dec_table is None
+            if step in (8, 15):  # drop a row, as a stop would
+                keep = np.delete(np.arange(n), step % 3)
+                cache.select(keep)
+                live = live[keep]
+            streams = rng.integers(0, config.audio_vocab, size=(live.size, 1))
+        assert cache.length == 3 + 26 and cache.self_table.cos.shape[1] == 30  # never rebuilt
+
+    def test_built_once_per_generate_batch(self, monkeypatch):
+        config = ModelConfig(n_enc_layers=1, n_dec_layers=2, d_model=16, n_heads=2,
+                             head_dim=8, ffn_dim=32)
+        params = init_params(config, seed=1)
+        calls = {"rope_table": 0, "progress_ids": 0, "decoder_batch": 0}
+
+        def counted(name):
+            fn = getattr(model, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(model, name, counted(name))
+        monkeypatch.setattr(decoding, "decoder_batch", model.decoder_batch)
+        seen = []
+        for target in (4, 30, 90):
+            for name in calls:
+                calls[name] = 0
+            # top_k 1 takes the argmax, which here is never eos: every row runs to its cap
+            results = decoding.generate_batch([([1, 2, 3], [4, 5], target), ([4], [6, 7], 2)],
+                                              params, config, decoding.SamplerConfig(top_k=1))
+            assert [r.stop_reason for r in results] == ["length_cap", "length_cap"]
+            assert calls["decoder_batch"] == math.ceil(1.2 * target)
+            seen.append((calls["rope_table"], calls["progress_ids"]))
+        # rope_table: the encoder's and the decoder's self tables and the encoder's
+        # progress; progress_ids: the encoder's and the decoder's progress
+        assert seen == [(3, 2)] * 3

@@ -3,8 +3,9 @@ only the model builds progress ids, one function opens every tape, no
 module zeroes gradients, only the worker module touches processes and shared
 memory, the CLI derives no per-row sampler seed, only render_audio reads
 the motif tokens, only model.read_json decodes JSON, the CLI opens the
-files it writes in one function, and only decoder_batch builds the
-cross-attention keys and values.
+files it writes in one function, only decoder_batch builds the
+cross-attention keys and values, the sampler loops over no rows but to
+draw, and the CLI scores a result set in one error_rates call.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -182,6 +183,11 @@ def test_the_check_finds_the_functions_naming_a_string():
     assert functions_naming(source, ".wq") == ["g"]
 
 
+def function_named(source: str, name: str) -> ast.FunctionDef:
+    return next(fn for fn in ast.walk(ast.parse(source))
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
 def test_only_decoder_batch_builds_the_cross_attention_keys():
     # it projects (and progress-rotates) every layer's text keys and values in
     # one loop, on every uncached pass and on a decode batch's first pass; the
@@ -190,6 +196,22 @@ def test_only_decoder_batch_builds_the_cross_attention_keys():
     assert functions_naming(model, ".cross.wk", ".cross.wv") == ["decoder_batch"]
     assert functions_naming(model, ".wk", ".wv") == ["_self_attention_block", "decoder_batch"]
     assert functions_reading(model, "cross_kv") == ["__init__", "decoder_batch", "select"]
-    block = next(fn for fn in ast.walk(ast.parse(model))
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "_cross_attention_block")
+    block = function_named(model, "_cross_attention_block")
     assert "cache" not in [arg.arg for arg in block.args.args + block.args.kwonlyargs]
+
+
+def test_the_sampler_loops_only_to_draw():
+    # every row's support, mass, cdf and token come from whole-matrix array
+    # ops; the one comprehension draws each row's uniform from its generator
+    sampler = function_named((PACKAGE / "decoding.py").read_text(encoding="utf-8"),
+                             "filter_and_sample")
+    assert not [node for node in ast.walk(sampler) if isinstance(node, (ast.For, ast.While))]
+    loops = [ast.unparse(node) for node in ast.walk(sampler)
+             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert loops == ["[rng.random() for rng in rngs]"]
+
+
+def test_evaluate_model_scores_in_one_error_rates_call():
+    evaluate = ast.unparse(function_named((PACKAGE / "cli.py").read_text(encoding="utf-8"),
+                                          "evaluate_model"))
+    assert calls_of(evaluate, "error_rates") == 1 and calls_of(evaluate, "error_rate") == 0
