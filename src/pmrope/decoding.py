@@ -90,27 +90,22 @@ def filter_and_sample(logits, sampler: SamplerConfig, rngs) -> np.ndarray:
     z -= z.max(axis=1, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=1, keepdims=True)
-    rows, width = p.shape
+    rows, k = p.shape[0], min(sampler.top_k, p.shape[1])
     index = np.arange(rows)
-    # only each row's first top_k ranks are read, and the default sort ranks
-    # them as the stable one does unless two of its top_k + 1 largest tie
-    order = (-p).argsort(axis=1)
+    # only each row's first top_k ranks can be picked
+    order = (-p).argsort(axis=1, kind="stable")[:, :k]
     ranked = p[index[:, None], order]
-    head = ranked[:, :sampler.top_k + 1]
-    if (head[:, 1:] == head[:, :-1]).any():
-        order = (-p).argsort(axis=1, kind="stable")
-        ranked = p[index[:, None], order]
     # ranked rows are non-increasing, so their running mass is non-decreasing
     # and the tokens below top_p form a prefix of each row
     below = (ranked.cumsum(axis=1) < sampler.top_p - 1e-12).sum(axis=1)
-    sizes = np.minimum(below + 1, min(sampler.top_k, width))
+    sizes = np.minimum(below + 1, k)
     # each support's mass as a 1-D support.sum() adds it up, pairing from its
     # first item: reduceat adds a segment's first item to the pairwise sum of
     # the rest, so each segment opens on its row's zero column (a zero column
     # after each row keeps the last segment's end in bounds)
-    padded = np.zeros((rows, width + 2))
+    padded = np.zeros((rows, k + 2))
     padded[:, 1:-1] = ranked
-    bounds = index.repeat(2) * (width + 2)
+    bounds = index.repeat(2) * (k + 2)
     bounds[1::2] += 1 + sizes
     mass = np.add.reduceat(padded.ravel(), bounds)[::2]
     finite = mass > 0.0  # a NaN logit or an infinite row max makes the row all NaN
@@ -119,8 +114,9 @@ def filter_and_sample(logits, sampler: SamplerConfig, rngs) -> np.ndarray:
     cdf = (ranked / mass[:, None]).cumsum(axis=1)
     cdf /= cdf[index, sizes - 1, None]
     draws = np.array([rng.random() for rng in rngs])
-    # searchsorted(side="right") of each row's draw in its support's cdf; past
-    # the support the cdf stays at 1 or more, above every draw
+    # searchsorted(side="right") of each row's draw in its support's cdf; in
+    # the top_k columns past a row's support the cdf stays at 1 or more,
+    # above every draw
     picks = (cdf <= draws[:, None]).sum(axis=1)
     return order[index, picks]
 

@@ -293,8 +293,8 @@ class DecoderCache:
     max_length, the most any row's stream may reach: the self-attention
     table, as one row that every row shares, and each row's progress
     rope_halves, unexpanded. Each pass takes its own columns of them through
-    tables; a pass that outgrows them has them rebuilt, to at least twice
-    the positions run so far.
+    tables; a pass that outgrows them (only a cache built without
+    max_length does) has them rebuilt up to its own last position.
     """
 
     def __init__(self, max_length: int = 0):
@@ -446,7 +446,7 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     else:
         # the cache's first pass, or one past its tables
         if cache.self_table is None or cache.self_table.cos.shape[1] < past + S:
-            stop = max(past + S, 2 * past, cache.max_length)
+            stop = max(past + S, cache.max_length)
             cache.self_table = _self_table(1, 0, stop, config, dtype)
             if config.pm_rope_enabled:
                 cache.progress = rope_halves(progress_ids(total_lens, stop,

@@ -111,11 +111,11 @@ class TestFilterAndSample:
 @st.composite
 def sampler_batches(draw):
     """[rows, V] logits with one sampler and per-row generator seeds. Rounded
-    logits force ties, -inf columns are blocked (never a whole row), top_k
-    runs past V, and top_p is 1, arbitrary, or the exact running mass of one
-    row's sorted softmax at some rank, so that row's nucleus boundary lands
-    on a tie."""
-    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    logits force ties, -inf columns are blocked (never a whole row), V and
+    top_k reach past the default top_k of 30 and top_k runs past V, and top_p
+    is 1, arbitrary, or the exact running mass of one row's sorted softmax at
+    some rank, so that row's nucleus boundary lands on a tie."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 40))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = gen.normal(0.0, draw(st.sampled_from([0.5, 2.0, 8.0])), size=(rows, width))
     decimals = draw(st.sampled_from([None, 0, 1]))
