@@ -5,7 +5,8 @@ tensor count, a directory of (name length, UTF-8 name, dtype code 0 = float32,
 rank, dims) entries, then the contiguous row-major payloads in directory
 order. Save -> load -> save round-trips byte-identically. A save goes
 through a temporary file in the same directory, fsynced, then renamed over
-the target, so the last good checkpoint survives a crash mid-write.
+the target, so the last good checkpoint survives a crash mid-write; the
+directory is fsynced after the rename, so the new one survives a power cut.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def save_checkpoint(path, params: ModelParams) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)  # so the rename survives a power cut
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _check_directory(directory: list, expected: dict) -> None:

@@ -13,11 +13,11 @@ batch has kept one token per step, so one step counter is the length of
 each, and the cache's length is the prefix plus that count. generate is a
 batch of one. Each pass hands decoder_batch every live row's text length and
 total length (prefix plus target). From these the prefill pass builds the
-rotation tables of every position up to the longest row's length cap, the
-progress past a target that over-generation reaches included, and each later
-pass slices its own. At each step one filter_and_sample call takes the
-logits of every unfinished row through temperature scaling, top-k, nucleus
-filtering, each support's mass and cdf and the pick of a token as one
+rotation inputs of every position up to the longest row's length cap, the
+progress past a target that over-generation reaches included, and every pass
+cuts its own tables from them. At each step one filter_and_sample call takes
+the logits of every unfinished row through temperature scaling, top-k,
+nucleus filtering, each support's mass and cdf and the pick of a token as one
 matrix. The only per-row work is one uniform drawn from each row's own
 generator, after every row's probabilities have been checked, and each row
 gets exactly the token Generator.choice would draw from its support, so

@@ -281,28 +281,24 @@ class DecoderCache:
     """Decoder state that lets decoding run one position at a time, for n rows.
 
     For each decoder layer it keeps the rotated self-attention keys and the
-    values of every position run so far, and the cross-attention keys and
-    values that decoder_batch builds on the cache's first pass. The
-    self-attention keys and values live only in per-layer buffers that
-    double in length whenever a pass outgrows them, so a pass copies in only
-    its own positions; their first length columns are filled. decoder_batch
-    advances length once per pass. Every row holds the same number of
-    positions: cached streams are never padded.
+    values of every position run so far, in per-layer buffers that double in
+    length whenever a pass outgrows them, so a pass copies in only its own
+    positions; their first length columns are filled. decoder_batch advances
+    length once per pass. Every row holds the same number of positions:
+    cached streams are never padded.
 
-    The first pass also builds the rotation inputs of every position up to
-    max_length, the most any row's stream may reach: the self-attention
-    table, as one row that every row shares, and each row's progress
-    rope_halves, unexpanded. Each pass takes its own columns of them through
-    tables; a pass that outgrows them (only a cache built without
-    max_length does) has them rebuilt up to its own last position.
+    The first pass stores what every pass shares: each layer's cross-attention
+    keys and values, and the rotation inputs of every position up to
+    max_length, the most any row's stream may reach. A pass past max_length
+    raises ShapeError at its first rotation, before it adds to the cache.
     """
 
-    def __init__(self, max_length: int = 0):
+    def __init__(self, max_length: int):
         self.length = 0           # decoder positions already run through the cache
         self.max_length = max_length
         self.cross_kv: dict = {}  # layer prefix -> (keys, values), [n, T, d]
-        self.self_table = None    # RopeTable of positions 0.., [1, P, d]
-        self.progress = ()        # rope_halves of each row's progress, [n, P, head_dim / 2]
+        self.positions = None     # RopeTable of positions 0..max_length-1, [1, max_length, d]
+        self.progress = ()        # each row's progress rope_halves, [n, max_length, head_dim/2]
         self._buffers: dict = {}  # layer prefix -> (keys, values), [n, capacity, d]
 
     def extend(self, prefix: str, k: Tensor, v: Tensor):
@@ -319,17 +315,6 @@ class DecoderCache:
         for buf, new in zip(buffers, (k.data, v.data)):
             buf[:, past:end] = new
         return Tensor(buffers[0][:, :end]), Tensor(buffers[1][:, :end])
-
-    def tables(self, n: int, start: int, stop: int, n_heads: int) -> tuple:
-        """The rotation tables of the n rows' positions start..stop-1: the
-        self-attention one and the progress one (None with no progress kept)."""
-        columns = slice(start, stop)
-        shared = self.self_table
-        self_table = shared._replace(cos=shared.cos[:, columns].repeat(n, axis=0),
-                                     sin=shared.sin[:, columns].repeat(n, axis=0))
-        if not self.progress:
-            return self_table, None
-        return self_table, widen_table(*(half[:, columns] for half in self.progress), n_heads)
 
     def select(self, rows) -> None:
         """Keep only the given rows (indices in the current row order)."""
@@ -365,14 +350,24 @@ def _ffn_block(x, prefix, params):
     return nm.add(x, nm.matmul(nm.gelu(nm.matmul(h, params[f"{prefix}.w1"])), params[f"{prefix}.w2"]))
 
 
-def _self_table(n: int, start: int, stop: int, config: ModelConfig, dtype) -> RopeTable:
-    """Rotation table of the integer positions start..stop-1, which every one
-    of the n rows shares: built for one row and broadcast to the rest."""
-    table = rope_table(np.arange(start, stop, dtype=np.float64)[None],
+def _position_table(stop: int, config: ModelConfig, dtype) -> RopeTable:
+    """Rotation table of the integer positions 0..stop-1 as one row, [1, stop, d],
+    that every row shares; row-major, so that a pass's columns of it are too."""
+    table = rope_table(np.arange(stop, dtype=np.float64)[None],
                        _rope_params(config.head_dim, config.rope_base), config.n_heads, dtype)
-    shape = (n,) + table.cos.shape[1:]
-    return table._replace(cos=np.broadcast_to(table.cos, shape),
-                          sin=np.broadcast_to(table.sin, shape))
+    return table._replace(cos=np.ascontiguousarray(table.cos),
+                          sin=np.ascontiguousarray(table.sin))
+
+
+def _pass_tables(positions, progress, start: int, stop: int, n_heads: int) -> tuple:
+    """The rotation tables of a pass's positions start..stop-1, cut from one
+    build: _position_table's columns, and the columns of progress' rope_halves
+    widened (None when progress is empty)."""
+    columns = slice(start, stop)
+    self_table = positions._replace(cos=positions.cos[:, columns], sin=positions.sin[:, columns])
+    if not progress:
+        return self_table, None
+    return self_table, widen_table(*(half[:, columns] for half in progress), n_heads)
 
 
 def encode_batch(texts, params: ModelParams, config: ModelConfig):
@@ -399,7 +394,7 @@ def encode_batch(texts, params: ModelParams, config: ModelConfig):
     padded = np.zeros((n, T), dtype=np.int64)
     padded[np.arange(T) < lens[:, None]] = np.concatenate(rows)  # row by row, left-aligned
     x = nm.embed(params["text_emb"], padded)
-    table = _self_table(n, 0, T, config, x.data.dtype)
+    table = _position_table(T, config, x.data.dtype)
     mask = key_padding_mask(lens, T, x.data.dtype)
     for i in range(config.n_enc_layers):
         x = _self_attention_block(x, f"enc.{i}.attn", table, mask, params, config)
@@ -420,13 +415,12 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     stream at positions cache.length onwards: they attend to the cached keys
     as well as to each other and are appended to the cache, whose length the
     pass then advances by S, so streams run through a cache hold no pads.
-    Every layer's cross-attention keys and values are built here on every
-    uncached pass and on a cache's first pass, which stores them for the rest.
-    An uncached pass builds the rotation tables of its own positions. A
-    cache's first pass builds them for every position up to the cache's
-    max_length (the self-attention table once for all rows, the progress
-    unexpanded per row, from these total_lens), and each pass widens its own
-    columns of them; progress past a row's total extrapolates.
+    An uncached pass, or a cache's first pass, builds every layer's
+    cross-attention keys and values, and the rotation inputs of S positions,
+    or of the cache's max_length: one integer-position table and each row's
+    progress rope_halves, from these total_lens (progress past a row's total
+    extrapolates). A cache stores all three; every pass cuts its own columns
+    from them.
     """
     (n, S), T = streams.shape, enc_states.data.shape[1]
     past = 0 if cache is None else cache.length
@@ -436,25 +430,12 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
     dtype = x.data.dtype
     # a single new position may see every key, so it needs no causal mask
     self_mask = causal_mask(past + S, dtype)[past:] if S > 1 else None
-    # one rotation table per position array, shared by every layer
-    if cache is None:
-        self_table = _self_table(n, 0, S, config, dtype)
-        dec_table = None
+    if past == 0:  # no cache, or its first pass
+        stop = S if cache is None else cache.max_length
+        positions, progress, cross_kv = _position_table(stop, config, dtype), (), {}
         if config.pm_rope_enabled:
-            dec_table = rope_table(progress_ids(total_lens, S, config.progress_scale), rope,
-                                   config.n_heads, dtype)
-    else:
-        # the cache's first pass, or one past its tables
-        if cache.self_table is None or cache.self_table.cos.shape[1] < past + S:
-            stop = max(past + S, cache.max_length)
-            cache.self_table = _self_table(1, 0, stop, config, dtype)
-            if config.pm_rope_enabled:
-                cache.progress = rope_halves(progress_ids(total_lens, stop,
-                                                          config.progress_scale), rope, dtype)
-        self_table, dec_table = cache.tables(n, past, past + S, config.n_heads)
-    cross_kv = {} if cache is None else cache.cross_kv
-    if not cross_kv:  # no cache, or its first pass
-        if config.pm_rope_enabled:
+            progress = rope_halves(progress_ids(total_lens, stop, config.progress_scale),
+                                   rope, dtype)
             enc_table = rope_table(progress_ids(text_lens, T, config.progress_scale), rope,
                                    config.n_heads, np.result_type(enc_states.data, dtype))
         for i in range(config.n_dec_layers):
@@ -463,6 +444,12 @@ def decoder_batch(streams: np.ndarray, enc_states: Tensor, text_lens, total_lens
             if config.pm_rope_enabled:
                 k = rotate_heads(k, enc_table)
             cross_kv[f"dec.{i}.cross"] = (k, v)
+        if cache is not None:
+            cache.positions, cache.progress, cache.cross_kv = positions, progress, cross_kv
+    else:
+        positions, progress, cross_kv = cache.positions, cache.progress, cache.cross_kv
+    # one rotation table per position array, shared by every layer
+    self_table, dec_table = _pass_tables(positions, progress, past, past + S, config.n_heads)
     cross_mask = key_padding_mask(text_lens, T, dtype)
     for i in range(config.n_dec_layers):
         x = _self_attention_block(x, f"dec.{i}.self", self_table, self_mask,

@@ -49,17 +49,17 @@ class RopeParams:
         object.__setattr__(self, "frequencies", frequencies)
 
 
-def progress_ids(total_lens, n: int, scale: float, start: int = 0) -> np.ndarray:
-    """[rows, n] progress IDs of indices start..start+n-1, one row per total
-    length L in total_lens: index j maps to j/(L-1) * scale, and every index
-    to 0 when L == 1 (a single token counts as "start"). A scale of 0 pins
-    every ID at 0, which leaves the rotation an identity.
+def progress_ids(total_lens, n: int, scale: float) -> np.ndarray:
+    """[rows, n] progress IDs of indices 0..n-1, one row per total length L in
+    total_lens: index j maps to j/(L-1) * scale, and every index to 0 when
+    L == 1 (a single token counts as "start"). A scale of 0 pins every ID at
+    0, which leaves the rotation an identity.
 
     Past L the affine map extrapolates beyond the scale; the decoder needs
     this when generation overshoots the target length.
     """
     spans = np.asarray(total_lens, dtype=np.float64)[:, None] - 1  # exact: L is an int
-    ids = np.arange(start, start + n, dtype=np.float64) / np.maximum(spans, 1) * scale
+    ids = np.arange(n, dtype=np.float64) / np.maximum(spans, 1) * scale
     ids[spans[:, 0] == 0] = 0.0
     return ids
 
@@ -117,15 +117,18 @@ def rotate_heads(x: Tensor, table: RopeTable) -> Tensor:
     """Tape-aware rotation of projected [.., n_heads*head_dim] rows by a rope_table.
 
     x is [S, width] with a table for positions [S], or batched [n, S, width]
-    with one for positions [n, S]. The rotation is x*cos + pairswap(x)*sin and
-    backward is its inverse, g*cos - pairswap(g)*sin; both equal the pairwise
-    form (e*c - o*s, e*s + o*c) bit for bit. The result keeps x's dtype, which
-    must be the table's.
+    with one for positions [n, S] or [1, S], whose one row every row shares.
+    The rotation is x*cos + pairswap(x)*sin and backward is its inverse,
+    g*cos - pairswap(g)*sin; both equal the pairwise form (e*c - o*s,
+    e*s + o*c) bit for bit. The result keeps x's dtype, which must be the
+    table's.
     """
     cos, sin, partner = table
-    if cos.shape != x.data.shape or cos.dtype != x.data.dtype:
+    rows = x.data.shape
+    shared = len(rows) == 3 and cos.shape == (1,) + rows[1:]
+    if not (shared or cos.shape == rows) or cos.dtype != x.data.dtype:
         raise ShapeError(f"rotation table {cos.shape} {cos.dtype} does not match "
-                         f"rows {x.data.shape} {x.data.dtype}")
+                         f"rows {rows} {x.data.dtype}")
     out = x.data * cos
     out += x.data.take(partner, axis=-1) * sin
 

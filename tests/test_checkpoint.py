@@ -104,6 +104,27 @@ def test_failed_save_keeps_the_previous_checkpoint(tiny_model, tmp_path, monkeyp
     assert path.read_bytes() == checkpoint_bytes(changed)
 
 
+def test_a_save_fsyncs_the_file_before_its_rename_and_the_directory_after(tiny_model, tmp_path,
+                                                                           monkeypatch):
+    params, _ = tiny_model
+    path = tmp_path / "model.pmrt"
+    fsync, replace = os.fsync, os.replace
+    events = []
+
+    def recorded_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        events.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", recorded_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", recorded_replace)
+    save_checkpoint(path, params)
+    assert events == [("fsync", path.stat().st_ino), "replace", ("fsync", tmp_path.stat().st_ino)]
+
+
 KILL_CONFIG = ModelConfig(n_enc_layers=1, n_dec_layers=1, d_model=8, n_heads=2, head_dim=4,
                           ffn_dim=16, text_vocab=6, audio_vocab=8)
 

@@ -247,7 +247,7 @@ class TestIncrementalDecoding:
             0, config.audio_vocab, size=cap - 1)
         text = [1, 2, 3]
         enc_states = encode(text, params, config)
-        cache = DecoderCache()
+        cache = DecoderCache(len(prompt) + 2 + generated.size)
         for stream, start, end, logits in cached_passes(text, prompt, target_len, generated,
                                                         params, config, cache):
             full = decoder_forward(stream[:end], enc_states, len(prompt) + 2 + target_len,
@@ -260,7 +260,7 @@ class TestIncrementalDecoding:
 
     def test_cross_attention_projected_once(self, tiny_model):
         params, config = tiny_model
-        cache = DecoderCache()
+        cache = DecoderCache(6)
         first = None
         for _ in cached_passes([1, 2], [0], 3, [4, 5, 6], params, config, cache):
             if first is None:
@@ -283,7 +283,7 @@ class TestIncrementalDecoding:
         total_lens = np.array([3 + target for target in targets])
         states = Tensor(np.stack([enc.data for enc in encoded]))
         rows = [0, 1, 2]  # the row each cache row decodes
-        cache = DecoderCache()
+        cache = DecoderCache(19)
         keys = None
         growths = 0
         for start, end in [(0, 3)] + [(j, j + 1) for j in range(3, 19)]:
@@ -405,7 +405,7 @@ class TestLockstepDecoding:
         params, config = tiny_model
         streams = np.array([[8, 1, 12], [8, 2, 12]])
         states = Tensor(np.random.default_rng(0).normal(size=(2, 3, config.d_model)))
-        cache = DecoderCache()
+        cache = DecoderCache(3)
         decoder_batch(streams, states, [3, 3], [3, 3], cache, params, config)
 
         def stored(cache):  # the filled part of every layer's keys and values

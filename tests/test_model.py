@@ -22,7 +22,7 @@ from pmrope.model import (
 )
 from pmrope.positional import progress_ids, rope_table
 from pmrope.synthcorpus import CorpusConfig, generate_corpus
-from pmrope.numerics import Tape, Tensor
+from pmrope.numerics import ShapeError, Tape, Tensor
 
 
 class TestConfig:
@@ -261,24 +261,26 @@ class TestEndToEndGradients:
 
 
 class TestRotationTables:
-    """A pass builds one rotation table per distinct position array and every
-    rotation of the pass reuses it."""
+    """A pass builds one rotation table, or rope_halves, per distinct position
+    array and every rotation of the pass reuses it."""
 
     @staticmethod
     def record_builds(monkeypatch) -> list:
-        """Position-array shapes of every table built from now on."""
+        """Position-array shapes of every table or rope_halves built from now on."""
         shapes = []
-        build = model.rope_table
 
-        def counted(positions, *args):
-            shapes.append(np.shape(positions))
-            return build(positions, *args)
+        def counted(build):
+            def call(positions, *args):
+                shapes.append(np.shape(positions))
+                return build(positions, *args)
+            return call
 
-        monkeypatch.setattr(model, "rope_table", counted)
+        for name in ("rope_table", "rope_halves"):
+            monkeypatch.setattr(model, name, counted(getattr(model, name)))
         return shapes
 
-    @pytest.mark.parametrize("pm_rope, want", [(True, [(1, 6), (2, 3)]), (False, [(1, 6)])],
-                             ids=["on", "off"])
+    @pytest.mark.parametrize("pm_rope, want", [(True, [(1, 6), (2, 6), (2, 3)]),
+                                               (False, [(1, 6)])], ids=["on", "off"])
     def test_cached_decode_step(self, tiny_model, monkeypatch, pm_rope, want):
         params, config = tiny_model
         config = replace(config, pm_rope_enabled=pm_rope)
@@ -287,7 +289,7 @@ class TestRotationTables:
         shapes = self.record_builds(monkeypatch)
         decoder_batch(np.array([[8, 1, 9], [8, 2, 9]]), states, [3, 3], [6, 6], cache,
                       params, config)
-        assert shapes == want  # self positions up to max_length, encoder progress
+        assert shapes == want  # self positions and progress up to max_length, encoder progress
         decoder_batch(np.array([[3], [4]]), states, [3, 3], [6, 6], cache, params, config)
         assert shapes == want  # the step slices the cache's tables
 
@@ -326,7 +328,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestPrefillTables:
     """A decode batch's cache builds its rotation inputs on its first pass,
-    and every later pass slices them."""
+    and every pass cuts its columns from them."""
 
     @pytest.mark.parametrize("pm_rope", [True, False], ids=["on", "off"])
     def test_each_pass_gets_the_tables_it_would_build(self, pm_rope):
@@ -345,12 +347,15 @@ class TestPrefillTables:
             past, width = cache.length, streams.shape[1]
             decoder_batch(streams, states, text_lens[live], totals[live], cache, params, config)
             n = live.size
-            self_table, dec_table = cache.tables(n, past, past + width, config.n_heads)
-            want = model._self_table(n, past, past + width, config, np.float32)
+            self_table, dec_table = model._pass_tables(cache.positions, cache.progress, past,
+                                                       past + width, config.n_heads)
+            # what a pass would build for its own positions alone
+            columns = np.arange(past, past + width, dtype=np.float64)
+            want = rope_table(columns[None], rope, config.n_heads, np.float32)
             assert all(map(same_bits, self_table, want))
             if pm_rope:
-                want = rope_table(progress_ids(totals[live], width, config.progress_scale,
-                                               start=past), rope, config.n_heads, np.float32)
+                ids = progress_ids(totals[live], past + width, config.progress_scale)[:, past:]
+                want = rope_table(ids, rope, config.n_heads, np.float32)
                 assert all(map(same_bits, dec_table, want))
             else:
                 assert dec_table is None
@@ -359,7 +364,25 @@ class TestPrefillTables:
                 cache.select(keep)
                 live = live[keep]
             streams = rng.integers(0, config.audio_vocab, size=(live.size, 1))
-        assert cache.length == 3 + 26 and cache.self_table.cos.shape[1] == 30  # never rebuilt
+        assert cache.length == 3 + 26 and cache.positions.cos.shape[1] == 30  # never rebuilt
+
+    def test_a_pass_past_max_length_raises_and_leaves_the_cache(self, tiny_model):
+        params, config = tiny_model
+        states = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)).astype(np.float32))
+
+        def run(streams):
+            decoder_batch(np.array(streams), states, [3, 3], [6, 6], cache, params, config)
+
+        cache = DecoderCache(4)
+        run([[8, 1, 9], [8, 2, 9]])
+        before = {name: (k.copy(), v.copy()) for name, (k, v) in cache._buffers.items()}
+        with pytest.raises(ShapeError):
+            run([[3, 5], [4, 6]])  # positions 3 and 4: one past max_length
+        assert cache.length == 3 and cache._buffers.keys() == before.keys()
+        for name, buffers in cache._buffers.items():
+            assert all(map(same_bits, buffers, before[name])), name
+        run([[3], [4]])  # the cache still runs up to max_length
+        assert cache.length == 4
 
     def test_built_once_per_generate_batch(self, monkeypatch):
         config = ModelConfig(n_enc_layers=1, n_dec_layers=2, d_model=16, n_heads=2,

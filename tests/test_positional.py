@@ -84,19 +84,6 @@ class TestProgressIds:
             assert np.array_equal(row, expected)
             assert np.array_equal(progress_ids([total_len], n, scale)[0], expected)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(1, 60), min_size=1, max_size=4), st.integers(0, 80),
-           st.integers(0, 80), st.sampled_from([0.0, 7.5, 2000.0]))
-    def test_a_start_gives_those_columns_of_the_full_array_bitwise(self, total_lens, start, n,
-                                                                    scale):
-        # L == 1, and columns past L, are both in the drawn range
-        full = progress_ids(total_lens, start + n, scale)
-        assert np.array_equal(progress_ids(total_lens, n, scale, start=start), full[:, start:])
-
-    def test_a_start_on_a_single_token_stream_stays_at_zero(self):
-        assert np.array_equal(progress_ids([1, 3], 2, 2000.0, start=4),
-                              [[0.0, 0.0], [4000.0, 5000.0]])
-
 
 class TestApplyRope:
     """Rotating single vectors, through rope_table and rotate_heads."""
@@ -281,10 +268,30 @@ class TestRopeTable:
         assert max_rel_err(q.grad, finite_diff_grad(loss_fn, q)) <= 1e-4
         assert max_rel_err(k.grad, finite_diff_grad(loss_fn, k)) <= 1e-4
 
-    @pytest.mark.parametrize("positions_shape, dtype", [((2, 4), np.float32), ((3,), np.float32),
-                                                        ((2, 3), np.float64)],
-                             ids=["rows", "unbatched", "dtype"])
-    def test_table_must_match_the_rows(self, positions_shape, dtype):
+    def test_a_one_row_table_rotates_every_row_as_its_repeat_does(self):
+        rng = np.random.default_rng(14)
+        table = table_for(rng.uniform(0, 2000, (1, 5)), RopeParams(head_dim=4), 2, np.float32)
+        repeated = table._replace(cos=table.cos.repeat(3, axis=0),
+                                  sin=table.sin.repeat(3, axis=0))
+        x = rng.normal(0, 1, (3, 5, 8)).astype(np.float32)
+        g = Tensor(rng.normal(0, 1, (3, 5, 8)).astype(np.float32))
+        results = []
+        for t in (table, repeated):
+            rows = Tensor(x.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = rotate_heads(rows, t)
+                loss = nm.sum_all(nm.mul(out, g))
+            tape.backward(loss)
+            results.append((out.data.tobytes(), rows.grad.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("positions_shape, rows_shape, dtype", [
+        ((2, 4), (2, 3, 8), np.float32), ((3,), (2, 3, 8), np.float32),
+        ((2, 3), (2, 3, 8), np.float64), ((2, 3), (3, 3, 8), np.float32),
+        ((1,), (3, 8), np.float32)],
+        ids=["rows", "unbatched", "dtype", "two_rows_for_three", "one_row_for_unbatched"])
+    def test_table_must_match_the_rows(self, positions_shape, rows_shape, dtype):
+        # only a batched [n, S, width] may take a one-row [1, S] table
         table = rope_table(np.zeros(positions_shape), RopeParams(head_dim=4), 2, dtype)
         with pytest.raises(ShapeError, match="does not match"):
-            rotate_heads(Tensor(np.ones((2, 3, 8), dtype=np.float32)), table)
+            rotate_heads(Tensor(np.ones(rows_shape, dtype=np.float32)), table)

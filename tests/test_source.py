@@ -4,8 +4,9 @@ module zeroes gradients, only the worker module touches processes and shared
 memory, the CLI derives no per-row sampler seed, only render_audio reads
 the motif tokens, only model.read_json decodes JSON, the CLI opens the
 files it writes in one function, only decoder_batch builds the
-cross-attention keys and values, the sampler loops over no rows but to
-draw, and the CLI scores a result set in one error_rates call.
+cross-attention keys and values, every decoder pass cuts its rotation
+tables from one build, the sampler loops over no rows but to draw, and the
+CLI scores a result set in one error_rates call.
 
 The package re-exports its public names from __init__.py, which therefore
 imports names it never reads and is left out.
@@ -198,6 +199,18 @@ def test_only_decoder_batch_builds_the_cross_attention_keys():
     assert functions_reading(model, "cross_kv") == ["__init__", "decoder_batch", "select"]
     block = function_named(model, "_cross_attention_block")
     assert "cache" not in [arg.arg for arg in block.args.args + block.args.kwonlyargs]
+
+
+def test_every_decoder_pass_cuts_its_rotation_tables_from_one_build():
+    # decoder_batch builds one integer-position row, which every row shares
+    # unbroadcast, and each row's progress over every position it reaches;
+    # _pass_tables cuts a pass's columns of both and widens the progress
+    model = (PACKAGE / "model.py").read_text(encoding="utf-8")
+    assert functions_calling(model, "widen_table") == ["_pass_tables"]
+    assert functions_calling(model, "_pass_tables") == ["decoder_batch"]
+    assert calls_of(model, "broadcast_to") == 0
+    assert not [p.name for p in PACKAGE.glob("*.py")
+                if calls_of(p.read_text(encoding="utf-8"), "progress_ids", keyword="start")]
 
 
 def test_the_sampler_loops_only_to_draw():
